@@ -24,7 +24,7 @@ from .errors import (
     SingularInput,
 )
 from .matfun import SPD_RTOL, _as_square, _frob, polar, sym_eig
-from .planar import FactorChain, build_chain, plan_scheme
+from .planar import FactorChain, _check_scheme, build_chain, plan_scheme
 from .spectral import RotationBlock, block_diagonalize
 
 __all__ = [
@@ -53,16 +53,9 @@ class FactorOptions:
     tol_verify: float = 1e-8
 
     def __post_init__(self):
-        if not float(self.k_rotation).is_integer() or self.k_rotation < 3:
-            raise InvalidParams(
-                f"k_rotation must be an integer >= 3, got {self.k_rotation}"
-            )
-        self.k_rotation = int(self.k_rotation)
-        self.lam_budget = float(self.lam_budget)
-        if not math.isfinite(self.lam_budget) or self.lam_budget < 1.0:
-            raise InvalidParams(
-                f"lam_budget must be >= 1, got {self.lam_budget}"
-            )
+        self.k_rotation, self.lam_budget = _check_scheme(
+            self.k_rotation, self.lam_budget, "k_rotation", "lam_budget"
+        )
         self.tol_verify = float(self.tol_verify)
         if not self.tol_verify > 0.0:
             raise InvalidParams("tol_verify must be positive")

@@ -4,20 +4,22 @@ The k-factor scheme stretches the identity covariance to diag(lam, 1/lam),
 carries it through k-2 successive rotations by theta, and relaxes back to
 the identity. Each leg is a Monge map, so every factor is SPD while the
 assembled product is a pure rotation by some net angle phi_k(theta, lam).
-Sweeping that angle over theta, inverting it for a target, and planning the
-cheapest lam that reaches a target all live here, together with the
-gradient generator whose exponential realizes a single leg in time t_fn.
+With c = 2/(lam + 1/lam) that angle has the closed form
 
-All 2x2 sweep kernels are evaluated in closed form (batched over the theta
-grid); the chain builder itself goes through the general transport map so
-the two routes cross-check each other.
+    phi_k(theta, lam) = (k-2) atan2((1-c) sin(theta) cos(theta),
+                                    cos^2(theta) + c sin^2(theta)),
+
+continuous and pi-periodic in theta. Sweeping it, inverting it for a target
+and planning the cheapest lam that reaches a target are exact evaluations
+of that formula; the chain builder goes through the general transport map
+instead, so the tests can cross-check the two routes. The gradient generator
+whose exponential realizes a single leg in time t_fn also lives here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,8 +56,27 @@ __all__ = [
 # below anything a genuinely non-orthogonal product can reach.
 ROTATION_GATE = 1e-3
 
-_SOLVER_STEPS = 2000
-_BISECT_ITERS = 80
+# Ratio of plan_scheme's lam grid 1.25^j.
+_LAM_STEP = 1.25
+
+
+def _check_scheme(k, lam, k_name="k", lam_name="lam") -> tuple:
+    """Validate a factor count and a scale: k an integer >= 3, lam >= 1.
+
+    Returns them as (int, float); raises InvalidParams otherwise.
+    """
+    try:
+        kf = float(k)
+        lamf = float(lam)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(
+            f"non-numeric {k_name} or {lam_name}: {exc}"
+        ) from exc
+    if not kf.is_integer() or kf < 3:
+        raise InvalidParams(f"{k_name} must be an integer >= 3, got {k}")
+    if not math.isfinite(lamf) or lamf < 1.0:
+        raise InvalidParams(f"{lam_name} must be >= 1, got {lam}")
+    return int(kf), lamf
 
 
 @dataclass
@@ -67,21 +88,13 @@ class ChainParams:
     k: int
 
     def __post_init__(self):
+        self.k, self.lam = _check_scheme(self.k, self.lam)
         try:
-            self.lam = float(self.lam)
             self.theta = float(self.theta)
-            kf = float(self.k)
         except (TypeError, ValueError) as exc:
-            raise InvalidParams(f"non-numeric chain parameters: {exc}") from exc
-        if not math.isfinite(self.lam) or self.lam < 1.0:
-            raise InvalidParams(
-                f"lam must be >= 1 (canonical form), got {self.lam}"
-            )
+            raise InvalidParams(f"non-numeric theta: {exc}") from exc
         if not math.isfinite(self.theta):
             raise InvalidParams("theta must be finite")
-        if not kf.is_integer() or kf < 3:
-            raise InvalidParams(f"k must be an integer >= 3, got {self.k}")
-        self.k = int(kf)
 
 
 @dataclass
@@ -201,91 +214,36 @@ def net_rotation(chain: FactorChain) -> float:
             f"{defect:.3e}, det {det:.6f})"
         )
     phi = math.atan2(P[0, 1], P[0, 0])
-    return math.pi if phi == -math.pi else phi
+    # The range is (-pi, pi]. A half turn whose product lands a rounding
+    # error past pi (P[0, 1] a tiny negative) would read as -pi; within
+    # 1e-12 rad of the cut both are the same rotation, so report pi.
+    return math.pi if phi <= -math.pi + 1e-12 else phi
 
 
-# Batched closed-form 2x2 kernels for the sweeps. Shapes are (..., 2, 2).
+def _c_terms(lam: float) -> tuple:
+    """c = 2/(lam + 1/lam) and 1 - c, the latter without cancellation."""
+    r = 1.0 / lam
+    s = 1.0 + r * r
+    return 2.0 * r / s, (1.0 - r) ** 2 / s
 
 
-def _rot_batch(theta: np.ndarray) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    out = np.empty(theta.shape + (2, 2))
-    out[..., 0, 0] = c
-    out[..., 0, 1] = s
-    out[..., 1, 0] = -s
-    out[..., 1, 1] = c
-    return out
-
-
-def _sqrt2(A: np.ndarray) -> np.ndarray:
-    # (A + sqrt(det) I) / sqrt(trace + 2 sqrt(det)), exact for SPD 2x2.
-    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-    s = np.sqrt(det)
-    t = np.sqrt(A[..., 0, 0] + A[..., 1, 1] + 2.0 * s)
-    out = A.copy()
-    out[..., 0, 0] += s
-    out[..., 1, 1] += s
-    return out / t[..., None, None]
-
-
-def _inv2(A: np.ndarray) -> np.ndarray:
-    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-    out = np.empty_like(A)
-    out[..., 0, 0] = A[..., 1, 1]
-    out[..., 1, 1] = A[..., 0, 0]
-    out[..., 0, 1] = -A[..., 0, 1]
-    out[..., 1, 0] = -A[..., 1, 0]
-    return out / det[..., None, None]
-
-
-def _ot2(Sa: np.ndarray, Sb: np.ndarray) -> np.ndarray:
-    Ra = _sqrt2(Sa)
-    C = _sqrt2(Ra @ Sb @ Ra)
-    Rai = _inv2(Ra)
-    return Rai @ C @ Rai
-
-
-def _phi_batch(lam: float, k: int, thetas: np.ndarray) -> np.ndarray:
-    """Wrapped net angle at each theta, closed-form 2x2 route."""
-    if lam == 1.0:
-        return np.zeros_like(thetas)
-    U = _rot_batch(thetas)
-    Ut = np.swapaxes(U, -1, -2)
-    I = np.broadcast_to(np.eye(2), thetas.shape + (2, 2)).copy()
-    S1 = np.zeros(thetas.shape + (2, 2))
-    S1[..., 0, 0] = lam
-    S1[..., 1, 1] = 1.0 / lam
-    covs = [I, S1]
-    for _ in range(k - 2):
-        covs.append(U @ covs[-1] @ Ut)
-    covs.append(I)
-    P = np.broadcast_to(np.eye(2), thetas.shape + (2, 2)).copy()
-    for j in range(1, k + 1):
-        P = _ot2(covs[j - 1], covs[j]) @ P
-    return np.arctan2(P[..., 0, 1], P[..., 0, 0])
-
-
-def _phi_at(lam: float, k: int, theta: float, ref: float) -> float:
-    """Net angle at a single theta, shifted to the branch nearest ref."""
-    raw = float(_phi_batch(lam, k, np.array([theta]))[0])
-    two_pi = 2.0 * math.pi
-    return raw + two_pi * round((ref - raw) / two_pi)
+def _max_phi(lam: float, k: int) -> float:
+    """Largest net angle of the k-factor chain at lam, reached at
+    tan(theta) = 1/sqrt(c)."""
+    c, d = _c_terms(lam)
+    return (k - 2) * math.atan(d / (2.0 * math.sqrt(c)))
 
 
 def phi_sweep(lam, k, theta_max, steps) -> SweepTable:
     """Evaluate the net angle on a uniform theta grid from 0 to theta_max.
 
-    The wrapped angles are unwrapped by nearest-branch continuation from
-    phi(0) = 0. A residual jump above pi/2 between adjacent rows means the
-    grid is too coarse to track the curve; that raises NumericalFailure
-    rather than returning a table with a hidden branch error.
+    The closed form is continuous in theta, so the table is unwrapped by
+    construction and starts at phi(0) = 0. A jump above pi/2 between
+    adjacent rows means the grid is too coarse to resolve the curve; that
+    raises NumericalFailure rather than returning a table that cannot be
+    read by interpolation.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 1.0:
-        raise InvalidParams(f"lam must be >= 1, got {lam}")
-    if not float(k).is_integer() or k < 3:
-        raise InvalidParams(f"k must be an integer >= 3, got {k}")
-    k = int(k)
+    k, lam = _check_scheme(k, lam)
     theta_max = float(theta_max)
     if not math.isfinite(theta_max) or theta_max <= 0.0:
         raise InvalidParams(f"theta_max must be positive, got {theta_max}")
@@ -294,105 +252,85 @@ def phi_sweep(lam, k, theta_max, steps) -> SweepTable:
     steps = int(steps)
 
     grid = np.linspace(0.0, theta_max, steps)
-    raw = _phi_batch(lam, k, grid)
-    two_pi = 2.0 * math.pi
-    d = np.diff(raw)
-    d -= two_pi * np.round(d / two_pi)
-    if d.size and float(np.max(np.abs(d))) > math.pi / 2.0:
+    c, d = _c_terms(lam)
+    s, co = np.sin(grid), np.cos(grid)
+    # + 0.0 turns the -0.0 that lam = 1 gives past theta = pi/2 into 0.0.
+    phi = (k - 2) * np.arctan2(d * s * co, co * co + c * s * s) + 0.0
+    if float(np.max(np.abs(np.diff(phi)))) > math.pi / 2.0:
         raise NumericalFailure(
-            "angle changes faster than pi/2 per grid step; increase steps"
+            "angle changes faster than pi/2 per grid step; the grid cannot "
+            "resolve the curve, increase steps"
         )
-    phi = np.concatenate(([0.0], np.cumsum(d)))
     return SweepTable(lam=lam, k=k, theta=grid, phi=phi)
-
-
-@lru_cache(maxsize=64)
-def _solver_sweep(lam: float, k: int) -> SweepTable:
-    return phi_sweep(lam, k, math.pi, _SOLVER_STEPS)
 
 
 def solve_theta(lam, k, psi) -> float:
     """Smallest theta in [0, pi] whose net angle equals psi.
 
-    Brackets on a fixed 2000-point sweep, then bisects. The returned theta
-    satisfies |phi_k(theta, lam) - psi| <= 1e-9 rad.
+    Inverts the closed form exactly. With alpha = psi/(k-2), t = tan(theta)
+    solves c tan(alpha) t^2 - (1-c) t + tan(alpha) = 0, whose smaller root
+    is theta = atan(2 tan(alpha) / ((1-c) + sqrt((1-c)^2 - 4 c tan^2(alpha)))).
 
-    Raises TargetUnreachable (with the sweep maximum in ``max_phi``) when
-    the curve never reaches psi at this lam.
+    Raises TargetUnreachable, with the largest reachable angle
+    (k-2) atan((1-c) / (2 sqrt(c))) in ``max_phi``, when psi exceeds it.
     """
+    k, lam = _check_scheme(k, lam)
     psi = float(psi)
     if not math.isfinite(psi) or psi < 0.0:
         raise InvalidParams(f"target angle must be >= 0, got {psi}")
     if psi == 0.0:
-        # Validate lam and k through the same path as the general case.
-        phi_sweep(lam, k, math.pi, 2)
         return 0.0
-    table = _solver_sweep(float(lam), int(k))
-    g = table.phi - psi
-    hit = np.nonzero(g == 0.0)[0]
-    if hit.size:
-        return float(table.theta[hit[0]])
-    crossings = np.nonzero(g[:-1] * g[1:] < 0.0)[0]
-    if crossings.size == 0:
-        top = float(np.max(table.phi))
+    top = _max_phi(lam, k)
+    alpha = psi / (k - 2)
+    if alpha >= math.pi / 2.0 or psi > top:
         raise TargetUnreachable(
             f"net angle {psi:.6g} is not reachable at lam={lam:.6g}, "
             f"k={k} (max {top:.6g})",
             max_phi=top,
         )
-    i = int(crossings[0])
-    lo, hi = float(table.theta[i]), float(table.theta[i + 1])
-    glo = float(g[i])
-    ref = float(table.phi[i] + table.phi[i + 1]) / 2.0
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        gm = _phi_at(float(lam), int(k), mid, ref) - psi
-        if gm == 0.0:
-            lo = hi = mid
-            break
-        if (gm < 0.0) == (glo < 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
-    if abs(_phi_at(float(lam), int(k), theta, ref) - psi) > 1e-9:
-        raise NumericalFailure(
-            f"bisection stalled away from the target at lam={lam:.6g}, k={k}"
-        )
-    return theta
+    c, d = _c_terms(lam)
+    t = math.tan(alpha)
+    # psi <= top makes the discriminant >= 0 up to rounding at the peak.
+    disc = max(d * d - 4.0 * c * t * t, 0.0)
+    return math.atan(2.0 * t / (d + math.sqrt(disc)))
 
 
 def plan_scheme(psi, k, lam_budget) -> ChainParams:
     """Cheapest-conditioning scheme reaching net angle psi with k factors.
 
-    Scans lam over the geometric grid 1.25^j up to lam_budget and returns
-    the first grid value whose sweep reaches psi, with the matching theta.
-    Conditioning is the user-facing cost, so the grid caps its granularity
-    at 25 percent; finer lam resolution buys nothing.
+    The largest reachable angle grows with lam and reaches psi from
+    lam_min = exp(acosh(tan^2(pi/4 + alpha/2))), alpha = psi/(k-2), on.
+    The plan takes the first value of the grid 1.25^j at or above lam_min
+    and the matching theta. Conditioning is the user-facing cost, so the
+    grid caps its granularity at 25 percent; finer lam resolution buys
+    nothing.
+
+    Raises TargetUnreachable, with the largest angle reachable on the grid
+    within the budget in ``max_phi``, when that grid value exceeds
+    lam_budget.
     """
     psi = float(psi)
     if not math.isfinite(psi) or not 0.0 <= psi <= math.pi:
         raise InvalidParams(f"target angle must lie in [0, pi], got {psi}")
-    if not float(k).is_integer() or k < 3:
-        raise InvalidParams(f"k must be an integer >= 3, got {k}")
-    k = int(k)
-    budget = float(lam_budget)
-    if not math.isfinite(budget) or budget < 1.0:
-        raise InvalidParams(f"lam budget must be >= 1, got {budget}")
+    k, budget = _check_scheme(k, lam_budget, lam_name="lam budget")
     if psi == 0.0:
         return ChainParams(lam=1.0, theta=0.0, k=k)
-    top = 0.0
-    j = 0
-    while True:
-        lam = 1.25**j
-        if lam > budget:
-            break
-        table = _solver_sweep(lam, k)
-        m = float(np.max(table.phi))
-        top = max(top, m)
-        if m >= psi:
-            return ChainParams(lam=lam, theta=solve_theta(lam, k, psi), k=k)
-        j += 1
+    # Grid exponents from rounded logs may sit one step off: j_top is nudged
+    # up and then checked, and the search starts one step below
+    # ceil(log(lam_min) / log(1.25)) and settles on the same reachability
+    # test that solve_theta applies.
+    step = math.log(_LAM_STEP)
+    j_top = math.floor(math.log(budget) / step + 1e-9)
+    if _LAM_STEP**j_top > budget:
+        j_top -= 1
+    alpha = psi / (k - 2)
+    if alpha < math.pi / 2.0:
+        log_lam_min = math.acosh(math.tan(math.pi / 4.0 + alpha / 2.0) ** 2)
+        for j in range(max(0, math.ceil(log_lam_min / step) - 1), j_top + 1):
+            lam = _LAM_STEP**j
+            if _max_phi(lam, k) >= psi:
+                return ChainParams(lam=lam, theta=solve_theta(lam, k, psi), k=k)
+    top = _max_phi(_LAM_STEP**j_top, k)
     raise TargetUnreachable(
         f"net angle {psi:.6g} needs more than lam={budget:.6g} at k={k} "
         f"(largest achievable {top:.6g})",

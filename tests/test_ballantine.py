@@ -73,6 +73,15 @@ class TestFactorRotation2:
         with pytest.raises(InvalidParams):
             factor_rotation2(3.5)
 
+    def test_170_degrees_with_four_factors(self):
+        # lam_min is about 1049, so the plan lands on 1.25^32 = 1262.
+        psi = 170.0 * math.pi / 180.0
+        ch = factor_rotation2(psi, FactorOptions(k_rotation=4, lam_budget=2000.0))
+        assert len(ch.factors) == 4
+        assert ch.params.lam == 1.25**32
+        assert all_spd(ch.factors)
+        assert np.linalg.norm(ch.product() - rotation2(psi)) <= 1e-9
+
     def test_half_turn_needs_five_factors(self):
         with pytest.raises(TargetUnreachable):
             factor_rotation2(math.pi, FactorOptions(k_rotation=4))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pdfactor.ballantine import FactorOptions
 from pdfactor.errors import (
     DimensionMismatch,
     InvalidInput,
@@ -72,6 +73,24 @@ class TestChainParams:
     def test_negative_theta_allowed(self):
         p = ChainParams(lam=2.0, theta=-1.0, k=4)
         assert p.theta == -1.0
+
+
+@pytest.mark.parametrize(
+    "k, lam",
+    [(2, 2.0), (3.5, 2.0), ("x", 2.0), (None, 2.0),
+     (3, 0.5), (3, math.nan), (3, math.inf), (3, "x")],
+)
+def test_every_entry_point_validates_k_and_lam_alike(k, lam):
+    calls = [
+        lambda: ChainParams(lam, 0.3, k),
+        lambda: phi_sweep(lam, k, 1.0, 10),
+        lambda: solve_theta(lam, k, 0.5),
+        lambda: plan_scheme(0.5, k, lam),
+        lambda: FactorOptions(k_rotation=k, lam_budget=lam),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParams):
+            call()
 
 
 class TestChainCovariances:
@@ -224,6 +243,12 @@ class TestNetRotation:
         with pytest.raises(NotARotation):
             net_rotation(FactorChain([np.diag([2.0, 1.0])]))
 
+    def test_half_turn_past_the_cut_reads_pi(self):
+        # A product a rounding error past pi reads pi, not -pi; an angle
+        # genuinely short of -pi keeps its sign.
+        assert net_rotation(FactorChain([rotation2(math.pi + 1e-13)])) == math.pi
+        assert net_rotation(FactorChain([rotation2(-math.pi + 1e-6)])) < 0.0
+
     def test_wrong_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
             net_rotation(FactorChain([np.eye(3)]))
@@ -256,6 +281,19 @@ class TestPhiSweep:
         t = phi_sweep(7.0, 4, 2.0, 300)
         expected = np.array([chain_angle_oracle(x, 7.0, 4) for x in t.theta])
         assert_allclose(t.phi, expected, atol=1e-9)
+
+    def test_matches_built_chain_mod_two_pi(self):
+        # The closed form against the general transport route, on both
+        # halves of the theta period.
+        r = rng(41)
+        cases = [(200.0, 7, 1.5 * math.pi), (1.0, 3, 4.0)]
+        for _ in range(100):
+            cases.append((float(r.uniform(1.0, 200.0)), int(r.integers(3, 8)),
+                          float(r.uniform(0.0, 2.0 * math.pi))))
+        for lam, k, theta in cases:
+            swept = phi_sweep(lam, k, theta, 4001).phi[-1]
+            built = net_rotation(build_chain(ChainParams(lam, theta, k)))
+            assert abs(math.remainder(swept - built, 2.0 * math.pi)) <= 2e-7
 
     def test_coarse_grid_fails_loudly(self):
         with pytest.raises(NumericalFailure):
@@ -321,6 +359,47 @@ class TestPlanScheme:
         if smaller >= 1.0:
             with pytest.raises(TargetUnreachable):
                 solve_theta(smaller, 5, 0.05)
+
+    def test_seeded_plans_take_the_first_grid_value_that_reaches(self):
+        def peak(lam, k):
+            # Largest value of chain_angle_oracle, at tan(theta) = 1/sqrt(c).
+            c = 2.0 / (lam + 1.0 / lam)
+            return (k - 2) * math.atan((1.0 - c) / (2.0 * math.sqrt(c)))
+
+        r = rng(42)
+        cases = [(math.pi, 5, 30.0), (math.pi, 4, 1e4), (math.pi, 3, 1e4),
+                 (170.0 * DEG, 4, 2000.0)]
+        for _ in range(150):
+            cases.append((math.pi - float(r.uniform(0.0, math.pi)),
+                          int(r.integers(3, 8)),
+                          float(np.exp(r.uniform(0.0, math.log(1e4))))))
+        for psi, k, budget in cases:
+            j = 0
+            while 1.25**j <= budget and peak(1.25**j, k) < psi:
+                j += 1
+            lam = 1.25**j
+            if lam > budget:
+                with pytest.raises(TargetUnreachable) as info:
+                    plan_scheme(psi, k, budget)
+                assert info.value.max_phi == pytest.approx(
+                    peak(1.25 ** (j - 1), k), rel=1e-12
+                )
+                continue
+            p = plan_scheme(psi, k, budget)
+            assert (p.lam, p.k) == (lam, k)
+            alpha = psi / (k - 2)
+            lam_min = math.exp(math.acosh(math.tan(math.pi / 4 + alpha / 2) ** 2))
+            assert lam / 1.25 < lam_min * (1 + 1e-9)
+            assert lam_min <= lam * (1 + 1e-9)
+            # Smallest root: on the rising side of the curve.
+            c = 2.0 / (lam + 1.0 / lam)
+            assert p.theta <= math.atan(1.0 / math.sqrt(c)) + 1e-12
+            assert abs(net_rotation(build_chain(p)) - psi) <= 1e-8
+            with pytest.raises(TargetUnreachable) as info:
+                solve_theta(1.25 ** (j - 1), k, psi)
+            assert info.value.max_phi == pytest.approx(
+                peak(1.25 ** (j - 1), k), rel=1e-12
+            )
 
     def test_pi_unreachable_with_four_factors(self):
         with pytest.raises(TargetUnreachable) as info:
