@@ -162,10 +162,11 @@ def factor_matrix(Phi, opts: FactorOptions | None = None) -> FactorChain:
     opts = opts or FactorOptions()
     Phi = _as_square(Phi, "factor_matrix input")
     n = Phi.shape[0]
-    det = float(np.linalg.det(Phi))
-    if abs(det) < 1e-300:
+    # slogdet, unlike det, cannot overflow for large entries.
+    sign, logdet = np.linalg.slogdet(Phi)
+    if sign == 0.0 or logdet < math.log(1e-300):
         raise SingularInput("input determinant vanishes to working precision")
-    if det < 0.0:
+    if sign < 0.0:
         raise NonPositiveDeterminant(
             "determinant not positive; a product of SPD factors "
             "always has positive determinant"
@@ -194,10 +195,13 @@ def verify(chain, target, tol) -> VerificationReport:
             f"chain is {chain.n}x{chain.n}, target {target.shape[0]}x"
             f"{target.shape[0]}"
         )
-    tnorm = _frob(target)
+    # Measure in units of an exact power of two near the largest target
+    # entry, so the squares inside the norms cannot overflow.
+    e = math.frexp(float(np.max(np.abs(target))))[1]
+    tnorm = _frob(np.ldexp(target, -e))
     if tnorm == 0.0:
         raise InvalidInput("verify target is the zero matrix")
-    residual = _frob(chain.product() - target) / tnorm
+    residual = _frob(np.ldexp(chain.product() - target, -e)) / tnorm
 
     stats = []
     all_spd = True

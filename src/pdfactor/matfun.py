@@ -2,10 +2,11 @@
 
 Everything downstream (transport maps, chain construction, block
 diagonalization, flow simulation) funnels through the primitives here, so
-they are written for determinism first: a cyclic Jacobi eigensolver with a
-fixed rotation order and a fixed eigenvector sign convention, and matrix
-functions evaluated through it. The general exponential uses scaling and
-squaring with diagonal Pade approximants.
+they are written for determinism first: one symmetric eigensolver (LAPACK
+``eigh``) with descending order and a fixed eigenvector sign convention,
+and the SPD matrix functions evaluated through it. The polar decomposition
+runs Higham's scaled Newton iteration on the matrix itself, and the general
+exponential uses scaling and squaring with diagonal Pade approximants.
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ SYM_RTOL = 1e-12
 # SPD certificate: smallest eigenvalue must clear this fraction of the largest.
 SPD_RTOL = 1e-12
 
-_JACOBI_SWEEPS = 30
-_JACOBI_RTOL = 1e-14
+_EPS = float(np.finfo(float).eps)
+# Newton polar iteration: step cap and the relative step that ends it.
+_POLAR_STEPS = 30
+_POLAR_STOP = math.sqrt(_EPS)
 
 
 class EigenPair(NamedTuple):
@@ -69,12 +72,12 @@ def _require_symmetric(S, name="matrix") -> np.ndarray:
     defect = _frob(S - S.T)
     if defect > SYM_RTOL * (1.0 + _frob(S)):
         raise InvalidInput(f"{name} is not symmetric (defect {defect:.3e})")
-    # Work on the exactly symmetric part so the Jacobi updates stay symmetric.
+    # Hand the eigensolver the exactly symmetric part, not just one triangle.
     return (S + S.T) / 2.0
 
 
 def sym_eig(S) -> EigenPair:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Parameters
     ----------
@@ -87,75 +90,21 @@ def sym_eig(S) -> EigenPair:
     EigenPair
         ``Q`` orthogonal with eigenvectors as columns, ``d`` eigenvalues in
         descending order. The largest-magnitude component of each column is
-        made positive (lowest index on ties), so repeated calls are
-        bit-identical and results are reproducible across platforms.
+        made positive (lowest index on ties), so reruns on one build are
+        bit-identical.
 
     Raises
     ------
     InvalidInput
         If S is not square or not symmetric.
-    NumericalFailure
-        If the off-diagonal norm has not dropped below
-        ``1e-14 * ||S||_F`` after 30 sweeps.
     """
     A = _require_symmetric(S, "sym_eig input")
-    n = A.shape[0]
-    Q = np.eye(n)
-    target = _JACOBI_RTOL * _frob(A)
-
-    def offdiag() -> float:
-        # Summing the off-diagonal entries directly avoids the cancellation
-        # that ||A||^2 - sum(diag^2) suffers on nearly diagonal input.
-        off = A.copy()
-        np.fill_diagonal(off, 0.0)
-        return _frob(off)
-
-    converged = offdiag() <= target
-    for _ in range(_JACOBI_SWEEPS):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if abs(tau) > 1e154:
-                    t = 1.0 / (2.0 * tau)
-                else:
-                    t = math.copysign(1.0, tau) / (
-                        abs(tau) + math.sqrt(1.0 + tau * tau)
-                    )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                # Zero the annihilated pair explicitly; leaving the roundoff
-                # residue in place stalls convergence near the threshold.
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                qp = Q[:, p].copy()
-                qq = Q[:, q].copy()
-                Q[:, p] = c * qp - s * qq
-                Q[:, q] = s * qp + c * qq
-        converged = offdiag() <= target
-    if not converged:
-        raise NumericalFailure("Jacobi eigensolver did not converge in 30 sweeps")
-
-    d = np.diag(A).copy()
-    order = np.argsort(-d, kind="stable")
-    d = d[order]
-    Q = np.ascontiguousarray(Q[:, order])
-    for j in range(n):
-        i = int(np.argmax(np.abs(Q[:, j])))
-        if Q[i, j] < 0.0:
-            Q[:, j] = -Q[:, j]
+    d, Q = np.linalg.eigh(A)
+    d = d[::-1].copy()
+    Q = Q[:, ::-1]
+    cols = np.arange(Q.shape[1])
+    lead = Q[np.argmax(np.abs(Q), axis=0), cols]
+    Q = Q * np.where(lead < 0.0, -1.0, 1.0)
     return EigenPair(Q=Q, d=d)
 
 
@@ -314,34 +263,50 @@ def expm(A) -> np.ndarray:
 def polar(Phi) -> tuple[np.ndarray, np.ndarray]:
     """Right polar decomposition Phi = V S with V orthogonal and S SPD.
 
-    S is the SPD square root of Phi^T Phi and V = Phi S^{-1}, so det V
-    carries the sign of det Phi.
+    V comes from Higham's scaled Newton iteration on Phi itself,
+    X <- (zeta X + X^{-T} / zeta) / 2 with zeta = (||X^{-1}||_F / ||X||_F)^{1/2},
+    and S = sym(V^T Phi). Working on Phi rather than Phi^T Phi keeps the
+    condition number from being squared. det V carries the sign of det Phi.
 
     Raises
     ------
     SingularInput
-        If Phi is singular to working precision.
+        If Phi is singular to working precision (``||Phi||_F ||Phi^{-1}||_F``
+        above ``1 / (n eps)``).
+    NumericalFailure
+        If the iteration has not settled after 30 steps.
     """
     Phi = _as_square(Phi, "polar input")
     n = Phi.shape[0]
-    G = Phi.T @ Phi
-    pair = sym_eig((G + G.T) / 2.0)
-    dmax = float(pair.d[0])
-    if float(pair.d[-1]) <= SPD_RTOL * max(1.0, dmax):
-        raise SingularInput("polar input is singular to working precision")
-    S = _apply_spectral(pair, np.sqrt(pair.d))
-    Sinv = _apply_spectral(pair, 1.0 / np.sqrt(pair.d))
-    V = Phi @ Sinv
-    # Forming Phi^T Phi squares the conditioning, so V can come out with
-    # an orthogonality defect near sqrt(eps) for hard inputs. A Newton
-    # step squares the defect instead, so a few restore orthogonality.
-    refined = False
-    for _ in range(4):
-        if _frob(V.T @ V - np.eye(n)) <= 1e-12:
-            break
-        V = 0.5 * (V + np.linalg.inv(V).T)
-        refined = True
-    if refined:
-        VtP = V.T @ Phi
-        S = (VtP + VtP.T) / 2.0
-    return V, S
+    # Iterate on Phi times an exact power of two that brings its largest
+    # entry near 1, so the norms below cannot overflow; V does not depend
+    # on the scale.
+    X = np.ldexp(Phi, -math.frexp(float(np.max(np.abs(Phi))))[1])
+    try:
+        Xinv = np.linalg.inv(X)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInput("polar input is singular to working precision") from exc
+    kappa = _frob(X) * _frob(Xinv)
+    if not kappa <= 1.0 / (n * _EPS):
+        raise SingularInput(
+            "polar input is singular to working precision "
+            f"(condition estimate {kappa:.3e})"
+        )
+    # Every singular value of an iterate is at least 1, so the inverses
+    # below cannot fail.
+    scale = True
+    for _ in range(_POLAR_STEPS):
+        # Scaling speeds up the early steps; near convergence it only adds
+        # rounding, so the last steps are the plain Newton iteration.
+        zeta = math.sqrt(_frob(Xinv) / _frob(X)) if scale else 1.0
+        Xnew = 0.5 * (zeta * X + Xinv.T / zeta)
+        delta = _frob(Xnew - X) / _frob(Xnew)
+        X = Xnew
+        # Convergence is quadratic: a step of size delta leaves an error
+        # of order delta^2, which is roundoff once delta is below sqrt(eps).
+        if delta <= _POLAR_STOP:
+            VtP = X.T @ Phi
+            return X, (VtP + VtP.T) / 2.0
+        scale = delta > 1e-2
+        Xinv = np.linalg.inv(X)
+    raise NumericalFailure(f"polar iteration did not converge in {_POLAR_STEPS} steps")

@@ -145,6 +145,7 @@ def block_diagonalize(V) -> OrthogonalDecomposition:
         sep = sym_eig(-(K @ K))
         R = [sep.Q[:, j] for j in range(m) if sep.d[j] > AXIS_TOL]
         axis_cols = [sep.Q[:, j] for j in range(m) if sep.d[j] <= AXIS_TOL]
+        placed = []
         while R:
             v = R[0]
             Cv = C @ v
@@ -155,8 +156,14 @@ def block_diagonalize(V) -> OrthogonalDecomposition:
                 axis_cols.append(v)
                 R = R[1:]
                 continue
-            w = w_raw / r
             theta = math.atan2(r, al)
+            # w_raw / r would magnify any leak into the axes, the planes
+            # already found here or v by 1/sin(theta), so take those
+            # components out before normalizing.
+            for u in axis_cols + placed + [v]:
+                w_raw = w_raw - (u @ w_raw) * u
+            w = w_raw / float(np.linalg.norm(w_raw))
+            placed += [v, w]
             # Basis order (w, v) makes the restricted action exactly
             # [[cos, sin], [-sin, cos]] with positive theta.
             rotations.append((theta, B @ w, B @ v))

@@ -173,6 +173,32 @@ class TestFactorMatrix:
             assert all_spd(ch.factors)
             assert verify(ch, Phi, 1e-8).passed
 
+    def test_ill_conditioned_inputs(self):
+        # Phi = U diag(logspace) W^T with cond 1e2..1e10. polar works on Phi
+        # itself, so these factor within tol. At cond 1e12 factor_matrix
+        # still fails verify: polar is accurate there, but the stretch S
+        # has eigenvalue ratio 1e12 and meets the SPD certificate's floor
+        # (SPD_RTOL = 1e-12).
+        r = rng(56)
+        for _ in range(30):
+            n = int(r.integers(2, 17))
+            c = 10.0 ** r.uniform(2.0, 10.0)
+            U, W = random_rotation(r, n), random_rotation(r, n)
+            Phi = (U * np.logspace(0.0, -math.log10(c), n)) @ W.T
+            ch = factor_matrix(Phi)
+            assert verify(ch, Phi, 1e-8).passed
+
+    def test_huge_entries(self):
+        # det(Phi) and ||Phi||_F^2 overflow at this scale; slogdet, the
+        # rescaled polar iteration and verify's power-of-two units do not.
+        Phi = rng(57).standard_normal((4, 4))
+        if np.linalg.det(Phi) < 0:
+            Phi[:, 0] = -Phi[:, 0]
+        Phi = Phi * 1e200
+        with np.errstate(over="ignore"):
+            ch = factor_matrix(Phi)
+            assert verify(ch, Phi, 1e-8).passed
+
     def test_det_telescope(self):
         r = rng(55)
         Phi = r.standard_normal((3, 3))

@@ -11,7 +11,25 @@ from pdfactor.errors import (
 )
 from pdfactor.matfun import cond, expm, polar, spd_log, spd_sqrt, sym_eig, sym_exp
 
-from _helpers import random_spd, random_symmetric, rng, taylor_expm
+from _helpers import (
+    random_orthogonal,
+    random_spd,
+    random_symmetric,
+    rng,
+    taylor_expm,
+)
+
+EPS = float(np.finfo(float).eps)
+
+
+def assert_eig_contract(S, Q, d):
+    """Descending order, sign convention, orthogonality, reconstruction."""
+    n = S.shape[0]
+    assert np.all(np.diff(d) <= 0.0)
+    lead = np.abs(Q).argmax(axis=0)
+    assert np.all(Q[lead, np.arange(n)] > 0.0)
+    assert np.linalg.norm(Q.T @ Q - np.eye(n)) <= 10.0 * n * EPS
+    assert np.linalg.norm((Q * d) @ Q.T - S) <= 10.0 * n * EPS * np.linalg.norm(S)
 
 
 class TestSymEig:
@@ -57,6 +75,33 @@ class TestSymEig:
         Q, _ = sym_eig(S)
         for j in range(9):
             assert Q[int(np.argmax(np.abs(Q[:, j]))), j] > 0
+
+    def test_contract_with_repeated_and_clustered_eigenvalues(self):
+        # Exact repeats leave the eigenvectors free inside each eigenspace,
+        # and near repeats (gaps 1e-13..1e-9) make them ill-determined;
+        # order, sign and orthogonality must hold regardless.
+        r = rng(14)
+        for n in (2, 3, 5, 8, 13, 24):
+            base = r.choice([-2.0, 0.5, 3.0], size=n)
+            for spread in (0.0, 1e-13, 1e-9):
+                d_true = base + spread * r.standard_normal(n)
+                Q0 = random_orthogonal(r, n)
+                S = (Q0 * d_true) @ Q0.T
+                S = (S + S.T) / 2.0
+                Q, d = sym_eig(S)
+                assert_eig_contract(S, Q, d)
+                assert_allclose(d, np.sort(d_true)[::-1], rtol=0, atol=1e-13 * n)
+
+    def test_contract_on_transport_covariances(self):
+        # The cond-1e4 covariances that acceptance criterion 08 feeds to
+        # the Monge map, n from 2 to 10.
+        r = rng(15)
+        for _ in range(40):
+            n = int(r.integers(2, 11))
+            S = random_spd(r, n, cond_max=1e4)
+            Q, d = sym_eig(S)
+            assert_eig_contract(S, Q, d)
+            assert d[-1] > 0.0
 
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidInput):
@@ -185,6 +230,37 @@ class TestPolar:
     def test_singular_rejected(self):
         with pytest.raises(SingularInput):
             polar([[1.0, 1.0], [1.0, 1.0]])
+
+    def test_ill_conditioned_inputs(self):
+        # The Newton iteration works on Phi itself, so condition numbers up
+        # to 1e14 stay well inside the 1 / (n eps) singularity gate. V is
+        # only determined to roundoff times 2 / (sigma_{n-1} + sigma_n).
+        r = rng(16)
+        for n in (2, 3, 5, 8, 16):
+            for c in (1e4, 1e8, 1e14):
+                U, W = random_orthogonal(r, n), random_orthogonal(r, n)
+                sigma = np.logspace(0.0, -math.log10(c), n)
+                Phi = (U * sigma) @ W.T
+                V, S = polar(Phi)
+                err = 10.0 * n * EPS * np.linalg.norm(Phi)
+                assert np.linalg.norm(V.T @ V - np.eye(n)) <= 10.0 * n * EPS
+                assert np.linalg.norm(V @ S - Phi) <= err
+                assert_allclose(V, U @ W.T, atol=2.0 * err / (sigma[-2] + sigma[-1]))
+                assert np.array_equal(S, S.T)
+
+    def test_extreme_scales(self):
+        # The result does not depend on the overall scale, even far beyond
+        # where ||Phi||_F^2 over- or underflows.
+        Phi = rng(17).standard_normal((4, 4))
+        V, S = polar(Phi)
+        for s in (1e-200, 1e200):
+            Vs, Ss = polar(Phi * s)
+            assert_allclose(Vs, V, rtol=0, atol=1e-14)
+            assert_allclose(Ss / s, S, rtol=0, atol=1e-14 * np.linalg.norm(Phi))
+
+    def test_numerically_singular_rejected(self):
+        with pytest.raises(SingularInput):
+            polar(np.diag([1.0, 1e-17]))
 
 
 class TestCond:

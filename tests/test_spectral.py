@@ -144,6 +144,23 @@ class TestBlockDiagonalize:
         assert abs(angles[1] - (math.pi - 1e-5)) <= 1e-9
         assert np.linalg.norm(assemble(d) - V) <= 1e-9
 
+    def test_basis_orthogonal_near_half_turns_and_small_angles(self):
+        # The partner direction w is (C v - cos(theta) v) / sin(theta), so
+        # at sin(theta) near 1e-5 any rounding left along the axes, v or a
+        # plane already found is magnified 1e5 times. The basis must still
+        # be orthogonal to far better than the 1e-10 the decomposition
+        # itself insists on.
+        r = rng(48)
+        for pair in ((math.pi - 1e-5, math.pi), (1e-5, 2e-5)):
+            for n in range(4, 9):
+                for _ in range(6):
+                    Q = random_rotation(r, n)
+                    V = Q @ embed((pair[0],), (pair[1],), *[1.0] * (n - 4)) @ Q.T
+                    d = block_diagonalize(V)
+                    assert np.linalg.norm(d.U.T @ d.U - np.eye(n)) <= 1e-12
+                    assert_allclose(sorted(block_angles(d)), pair, rtol=0, atol=1e-9)
+                    assert np.linalg.norm(assemble(d) - V) <= 1e-9
+
     def test_repeated_angles(self):
         V = embed((0.9,), (0.9,), (0.9,))
         d = block_diagonalize(V)
