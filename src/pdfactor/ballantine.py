@@ -175,7 +175,10 @@ def factor_matrix(Phi, opts: FactorOptions | None = None) -> FactorChain:
     if _frob(V - np.eye(n)) <= 1e-12:
         return FactorChain([S])
     chain = factor_orthogonal(V, opts)
-    if _frob(S - np.eye(n)) <= 1e-10:
+    D = S - np.eye(n)
+    # The norm is only taken once every entry is small, so its squares
+    # cannot overflow for a huge stretch.
+    if np.max(np.abs(D)) <= 1e-10 and _frob(D) <= 1e-10:
         return chain
     return FactorChain([S] + chain.factors)
 
@@ -206,11 +209,18 @@ def verify(chain, target, tol) -> VerificationReport:
     stats = []
     all_spd = True
     for M in chain.factors:
-        sym_defect = _frob(M - M.T)
-        pair = sym_eig((M + M.T) / 2.0)
-        dmax, dmin = float(pair.d[0]), float(pair.d[-1])
+        # A factor with entries of 1 or more is inspected in units of a
+        # power of two near its largest entry, for the same reason; below 1
+        # it is not scaled, so the "1 +" of the symmetry gate keeps its
+        # meaning. Eigenvalues scale exactly with the factor.
+        ex = max(0, math.frexp(float(np.max(np.abs(M))))[1])
+        Ms = np.ldexp(M, -ex)
+        scaled_defect = _frob(Ms - Ms.T)
+        sym_defect = float(np.ldexp(scaled_defect, ex))
+        d = sym_eig((Ms + Ms.T) / 2.0).d
+        dmax, dmin = float(np.ldexp(d[0], ex)), float(np.ldexp(d[-1], ex))
         spd_ok = (
-            sym_defect <= 1e-12 * (1.0 + _frob(M))
+            scaled_defect <= 1e-12 * (math.ldexp(1.0, -ex) + _frob(Ms))
             and dmin > SPD_RTOL * max(1.0, dmax)
         )
         all_spd = all_spd and spd_ok

@@ -1,7 +1,7 @@
 """Dense symmetric eigendecomposition and small-matrix functions.
 
-Everything downstream (transport maps, chain construction, block
-diagonalization, flow simulation) funnels through the primitives here, so
+Everything downstream (transport maps, block diagonalization,
+verification, flow simulation) funnels through the primitives here, so
 they are written for determinism first: one symmetric eigensolver (LAPACK
 ``eigh``) with descending order and a fixed eigenvector sign convention,
 and the SPD matrix functions evaluated through it. The polar decomposition
@@ -108,10 +108,12 @@ def sym_eig(S) -> EigenPair:
     return EigenPair(Q=Q, d=d)
 
 
-def _certify_spd(d: np.ndarray, name: str) -> None:
+def _certify_spd(d, name: str) -> None:
+    """Raise NotPositiveDefinite unless d[-1] > SPD_RTOL max(1, d[0]), for
+    eigenvalues d in descending order (NaN fails)."""
     dmax = float(d[0])
     dmin = float(d[-1])
-    if dmin <= SPD_RTOL * max(1.0, dmax):
+    if not dmin > SPD_RTOL * max(1.0, dmax):
         raise NotPositiveDefinite(
             f"{name} is not positive definite to working precision "
             f"(eigenvalue range [{dmin:.3e}, {dmax:.3e}])"

@@ -11,9 +11,10 @@ With c = 2/(lam + 1/lam) that angle has the closed form
 
 continuous and pi-periodic in theta. Sweeping it, inverting it for a target
 and planning the cheapest lam that reaches a target are exact evaluations
-of that formula; the chain builder goes through the general transport map
-instead, so the tests can cross-check the two routes. The gradient generator
-whose exponential realizes a single leg in time t_fn also lives here.
+of that formula. Every waypoint is unimodular, so each factor has a closed
+form too: the Monge map from A to B is (adj A + B) / sqrt(2 + tr(AB)), and
+building a chain takes no eigendecomposition. The gradient generator whose
+exponential realizes a single leg in time t_fn also lives here.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .errors import (
     NumericalFailure,
     TargetUnreachable,
 )
-from .matfun import _as_square, _frob, spd_log
-from .transport import ot_map
+from .matfun import _as_square, _certify_spd, _frob, _require_symmetric, spd_log
 
 __all__ = [
     "ChainParams",
@@ -172,26 +172,62 @@ def chain_covariances(p: ChainParams) -> list:
     return covs
 
 
+def _monge2(A, B) -> np.ndarray:
+    """SPD solution M of M A M = B for 2x2 SPD A, B with det A = det B = 1.
+
+    With A^{-1} = adj A, M = A^{-1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2}
+    is (adj A + B) / sqrt(2 + tr(AB)): the square root of a unimodular SPD
+    2x2 matrix X is (X + I) / sqrt(2 + tr X). tr(AB) >= 2, so the root
+    has no cancellation.
+    """
+    adj = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]])
+    # B is symmetric, so the entrywise dot product of A and B is tr(AB).
+    return (adj + B) / math.sqrt(2.0 + float(np.vdot(A, B)))
+
+
+def _eig2(M) -> tuple:
+    """Eigenvalues (largest, smallest) of a symmetric 2x2 matrix, from its
+    trace and determinant; the smaller one as det/largest, which avoids
+    the cancellation in half-trace minus radius."""
+    a, b, c = float(M[0, 0]), float(M[0, 1]), float(M[1, 1])
+    half_tr = 0.5 * (a + c)
+    r = math.hypot(0.5 * (a - c), b)
+    dmax = half_tr + r
+    return dmax, ((a * c - b * b) / dmax if dmax > 0.0 else half_tr - r)
+
+
 def build_chain(p: ChainParams) -> FactorChain:
     """Construct the k SPD factors whose product is the net rotation.
 
-    Factor j is the Monge map from waypoint j-1 to waypoint j, so
-    M_1 = diag(sqrt(lam), 1/sqrt(lam)) and M_k is the inverse square root
-    of the last stretched waypoint.
+    Factor j is the Monge map from waypoint j-1 to waypoint j. Every
+    waypoint is unimodular, so each map has the closed form
+    (adj S_{j-1} + S_j) / sqrt(2 + tr(S_{j-1} S_j)); the first factor is
+    exactly diag(sqrt(lam), 1/sqrt(lam)), and lam = 1 gives exact
+    identities.
+
+    Raises NumericalFailure if a factor fails the SPD certificate
+    (smallest eigenvalue above SPD_RTOL times the largest, or 1).
     """
     p = _coerce_params(p)
     covs = chain_covariances(p)
+    root = math.sqrt(p.lam)
     factors = []
     for j in range(1, p.k + 1):
+        if j == 1:
+            M = np.diag([root, 1.0 / root])
+        else:
+            M = _monge2(covs[j - 1], covs[j])
         try:
-            factors.append(ot_map(covs[j - 1], covs[j]))
+            _certify_spd(_eig2(M), f"factor {j}")
         except NotPositiveDefinite as exc:
-            # The stretched waypoints have condition lam^2; far enough out
-            # the transport intermediates drop below the SPD certificate.
+            # A factor's condition is lam for the first one and up to
+            # lam^2 for the others (theta near a quarter turn); far enough
+            # out its smallest eigenvalue drops below the SPD certificate.
             raise NumericalFailure(
                 f"factor {j} lost SPD certification at lam={p.lam:.6g}; "
                 "the chain is too ill-conditioned at this scale"
             ) from exc
+        factors.append(M)
     return FactorChain(factors=factors, params=p)
 
 
@@ -343,8 +379,14 @@ def gradient_generator(Sigma0, theta, t_fn) -> np.ndarray:
     rotation by theta.
 
     A is the scaled log of the Monge map from Sigma0 to
-    U_theta Sigma0 U_theta^T; its flow preserves volume, and integrating it
-    for t_fn carries the covariance exactly one scheme leg forward.
+    S1 = U_theta Sigma0 U_theta^T. The map does not change when both
+    covariances are divided by sqrt(det Sigma0), which makes them
+    unimodular, so it is the closed form build_chain uses. Its flow
+    preserves volume, and integrating it for t_fn carries the covariance
+    exactly one scheme leg forward.
+
+    Raises InvalidInput if Sigma0 is not symmetric, NotPositiveDefinite if
+    it fails the SPD certificate.
     """
     S0 = _as_square(Sigma0, "gradient_generator covariance")
     if S0.shape != (2, 2):
@@ -352,9 +394,13 @@ def gradient_generator(Sigma0, theta, t_fn) -> np.ndarray:
     t_fn = float(t_fn)
     if not math.isfinite(t_fn) or t_fn <= 0.0:
         raise InvalidParams(f"t_fn must be positive, got {t_fn}")
+    S0 = _require_symmetric(S0, "gradient_generator covariance")
+    dmax, dmin = _eig2(S0)
+    _certify_spd((dmax, dmin), "gradient_generator covariance")
     U = rotation2(theta)
+    S0 = S0 / math.sqrt(dmax * dmin)  # dmax dmin = det S0
     S1 = U @ S0 @ U.T
-    M = ot_map(S0, (S1 + S1.T) / 2.0)
+    M = _monge2(S0, (S1 + S1.T) / 2.0)
     A = spd_log(M) / t_fn
     A = (A + A.T) / 2.0
     # det M = 1, so trace(A) is roundoff; project it out so volume

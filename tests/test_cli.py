@@ -93,6 +93,22 @@ class TestFactorCommand:
         capsys.readouterr()
         assert rc == 1
 
+    def test_huge_entries_raise_no_warning(self, tmp_path):
+        # Norms of factors and stretches with entries near 1e200 must not
+        # overflow; with warnings as errors any overflow would exit 1.
+        doc = {"n": 2, "data": [1e200, 2e200, -3e200, 1e200]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pdfactor", "factor",
+             str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["passed"] is True
+
     def test_factor_then_verify_roundtrip(self, tmp_path, capsys):
         r = rng(70)
         Phi = r.standard_normal((3, 3))

@@ -14,7 +14,7 @@ from pdfactor.errors import (
     NumericalFailure,
     TargetUnreachable,
 )
-from pdfactor.matfun import expm, spd_sqrt
+from pdfactor.matfun import SPD_RTOL, expm, spd_sqrt
 from pdfactor.planar import (
     ChainParams,
     FactorChain,
@@ -28,7 +28,7 @@ from pdfactor.planar import (
     rotation2,
     solve_theta,
 )
-from pdfactor.transport import ot_residual
+from pdfactor.transport import ot_map, ot_residual
 
 from _helpers import chain_angle_oracle, rng
 
@@ -162,10 +162,11 @@ class TestBuildChain:
                     1 + np.linalg.norm(covs[j])
                 )
                 # det M rounds with the conditioning of the waypoints
-                # (condition lam^2): Sa^{-1/2} (Sa^{1/2} Sb Sa^{1/2})^{1/2}
-                # Sa^{-1/2} leaves |det M - 1| up to 11.4 lam^3 eps over 301
-                # base seeds of this stream (lam in [1, 50]), so the gate
-                # scales with lam^3 as the one above scales with |Sb|.
+                # (condition lam^2): the closed form leaves |det M - 1| up
+                # to 3.3 lam^3 eps over 301 base seeds of this stream
+                # (lam in [1, 50]; the general transport map left 11.4), so
+                # the gate scales with lam^3 as the one above scales with
+                # |Sb|.
                 assert abs(np.linalg.det(M) - 1.0) <= 32.0 * lam**3 * EPS
             P = ch.product()
             assert np.linalg.norm(P @ P.T - np.eye(2)) <= 1e-9
@@ -179,8 +180,42 @@ class TestBuildChain:
                 assert_allclose(np.linalg.eigvalsh(M), expected, atol=1e-10)
 
     def test_extreme_lam_fails_certification(self):
+        # The first factor diag(sqrt(lam), 1/sqrt(lam)) has condition lam,
+        # which the SPD certificate refuses past 1/SPD_RTOL = 1e12.
         with pytest.raises(NumericalFailure):
-            build_chain(ChainParams(1e4, 80.0 * DEG, 4))
+            build_chain(ChainParams(1e13, 80.0 * DEG, 4))
+
+    def test_lam_1e4_builds_certified(self):
+        ch = build_chain(ChainParams(1e4, 80.0 * DEG, 4))
+        for M in ch.factors:
+            d = np.linalg.eigvalsh(M)
+            assert d[0] > SPD_RTOL * max(1.0, d[-1])
+        P = ch.product()
+        assert np.linalg.norm(P @ P.T - np.eye(2)) <= 1e-10
+        assert abs(np.linalg.det(P) - 1.0) <= 1e-10
+
+    def test_seeded_factors_certified_and_match_transport_route(self):
+        # Every factor clears the SPD certificate and solves
+        # M S_{j-1} M = S_j within the gate of the test above. For lam <= 30
+        # it also matches the general map ot_map, whose intermediate
+        # S^{1/2} S' S^{1/2} has condition lam^4: the relative gap is at most
+        # 1.3e-11 over 301 base seeds of this stream (21,949 factors).
+        r = rng(43)
+        for _ in range(30):
+            lam = float(np.exp(r.uniform(0.0, math.log(1e3))))
+            theta = math.pi - float(r.uniform(0.0, 2.0 * math.pi))
+            k = int(r.integers(3, 8))
+            p = ChainParams(lam, theta, k)
+            covs = chain_covariances(p)
+            for j, M in enumerate(build_chain(p).factors, start=1):
+                d = np.linalg.eigvalsh(M)
+                assert d[0] > SPD_RTOL * max(1.0, d[-1])
+                assert ot_residual(M, covs[j - 1], covs[j]) <= 1e-9 * (
+                    1 + np.linalg.norm(covs[j])
+                )
+                if lam <= 30.0:
+                    ref = ot_map(covs[j - 1], covs[j])
+                    assert np.linalg.norm(M - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_three_factor_closed_forms(self):
         lam, theta = 6.0, 0.8
@@ -289,8 +324,8 @@ class TestPhiSweep:
         assert_allclose(t.phi, expected, atol=1e-9)
 
     def test_matches_built_chain_mod_two_pi(self):
-        # The closed form against the general transport route, on both
-        # halves of the theta period.
+        # The closed-form angle against the product of the built factors,
+        # on both halves of the theta period.
         r = rng(41)
         cases = [(200.0, 7, 1.5 * math.pi), (1.0, 3, 4.0)]
         for _ in range(100):
@@ -445,8 +480,6 @@ class TestGradientGenerator:
 
     def test_exponential_is_transport_map(self):
         r = rng(31)
-        from pdfactor.transport import ot_map
-
         for _ in range(5):
             Q = rotation2(float(r.uniform(0, math.pi)))
             S0 = Q @ np.diag(np.exp(r.uniform(-1.5, 1.5, 2))) @ Q.T
