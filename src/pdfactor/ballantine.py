@@ -18,12 +18,10 @@ from .errors import (
     DimensionMismatch,
     InvalidInput,
     InvalidParams,
-    NegativeDeterminant,
     NonPositiveDeterminant,
-    NotOrthogonal,
     SingularInput,
 )
-from .matfun import SPD_RTOL, _as_square, _frob, polar, sym_eig
+from .matfun import SPD_RTOL, _as_square, _frob, polar
 from .planar import FactorChain, _check_scheme, build_chain, plan_scheme
 from .spectral import RotationBlock, block_diagonalize
 
@@ -106,11 +104,11 @@ def factor_rotation2(psi, opts: FactorOptions | None = None) -> FactorChain:
     if not math.isfinite(psi) or not -math.pi < psi <= math.pi:
         raise InvalidParams(f"rotation angle must lie in (-pi, pi], got {psi}")
     if psi == 0.0:
-        return FactorChain([np.eye(2)])
+        return FactorChain._trusted([np.eye(2)])
     params = plan_scheme(abs(psi), opts.k_rotation, opts.lam_budget)
     chain = build_chain(params)
     if psi < 0.0:
-        return FactorChain(list(reversed(chain.factors)), params=params)
+        return FactorChain._trusted(chain.factors[::-1], params)
     return chain
 
 
@@ -120,22 +118,18 @@ def factor_orthogonal(V, opts: FactorOptions | None = None) -> FactorChain:
     Each rotation plane gets its own scheme (small angles plan small lam);
     shorter block chains are padded with identity factors at the end so
     stage i can assemble the i-th factor of every block at once.
+
+    Raises NotOrthogonal or NegativeDeterminant (from block_diagonalize)
+    for inputs outside SO(n).
     """
     opts = opts or FactorOptions()
-    V = _as_square(V, "factor_orthogonal input")
-    n = V.shape[0]
-    defect = _frob(V.T @ V - np.eye(n))
-    if defect > 1e-8:
-        raise NotOrthogonal(f"input has orthogonality defect {defect:.3e}")
-    if abs(float(np.linalg.det(V)) - 1.0) > 1e-8:
-        raise NegativeDeterminant("input determinant is not +1")
-
     decomp = block_diagonalize(V)
+    n = decomp.n
     rotations = [b for b in decomp.blocks if isinstance(b, RotationBlock)]
     per_block = [factor_rotation2(b.theta, opts).factors for b in rotations]
     stages = max((len(f) for f in per_block), default=0)
     if stages == 0:
-        return FactorChain([np.eye(n)])
+        return FactorChain._trusted([np.eye(n)])
 
     factors = []
     for i in range(stages):
@@ -149,7 +143,7 @@ def factor_orthogonal(V, opts: FactorOptions | None = None) -> FactorChain:
             D[r1, r1] = M[1, 1]
         N = decomp.U @ D @ decomp.U.T
         factors.append((N + N.T) / 2.0)
-    return FactorChain(factors)
+    return FactorChain._trusted(factors)
 
 
 def factor_matrix(Phi, opts: FactorOptions | None = None) -> FactorChain:
@@ -173,14 +167,14 @@ def factor_matrix(Phi, opts: FactorOptions | None = None) -> FactorChain:
         )
     V, S = polar(Phi)
     if _frob(V - np.eye(n)) <= 1e-12:
-        return FactorChain([S])
+        return FactorChain._trusted([S])
     chain = factor_orthogonal(V, opts)
     D = S - np.eye(n)
     # The norm is only taken once every entry is small, so its squares
     # cannot overflow for a huge stretch.
     if np.max(np.abs(D)) <= 1e-10 and _frob(D) <= 1e-10:
         return chain
-    return FactorChain([S] + chain.factors)
+    return FactorChain._trusted([S] + chain.factors)
 
 
 def verify(chain, target, tol) -> VerificationReport:
@@ -189,6 +183,7 @@ def verify(chain, target, tol) -> VerificationReport:
     PASS requires relative residual at most tol and every factor to clear
     the SPD certificate. Factors are inspected, not trusted: asymmetric or
     indefinite entries produce a failing report rather than an exception.
+    All factors are checked at once, by one stacked ``eigvalsh``.
     """
     if not isinstance(chain, FactorChain):
         chain = FactorChain(factors=list(chain))
@@ -206,36 +201,34 @@ def verify(chain, target, tol) -> VerificationReport:
         raise InvalidInput("verify target is the zero matrix")
     residual = _frob(np.ldexp(chain.product() - target, -e)) / tnorm
 
-    stats = []
-    all_spd = True
-    for M in chain.factors:
-        # A factor with entries of 1 or more is inspected in units of a
-        # power of two near its largest entry, for the same reason; below 1
-        # it is not scaled, so the "1 +" of the symmetry gate keeps its
-        # meaning. Eigenvalues scale exactly with the factor.
-        ex = max(0, math.frexp(float(np.max(np.abs(M))))[1])
-        Ms = np.ldexp(M, -ex)
-        scaled_defect = _frob(Ms - Ms.T)
-        sym_defect = float(np.ldexp(scaled_defect, ex))
-        d = sym_eig((Ms + Ms.T) / 2.0).d
-        dmax, dmin = float(np.ldexp(d[0], ex)), float(np.ldexp(d[-1], ex))
-        spd_ok = (
-            scaled_defect <= 1e-12 * (math.ldexp(1.0, -ex) + _frob(Ms))
-            and dmin > SPD_RTOL * max(1.0, dmax)
+    # Every factor is inspected in units of a power of two near its largest
+    # entry when that is 1 or more, for the same reason; below 1 it is not
+    # scaled, so the "1 +" of the symmetry gate keeps its meaning.
+    # Eigenvalues scale exactly with the factor.
+    F = np.stack(chain.factors)
+    ex = np.maximum(0, np.frexp(np.max(np.abs(F), axis=(1, 2)))[1])
+    Fs = np.ldexp(F, -ex[:, None, None])
+    FsT = Fs.transpose(0, 2, 1)
+    scaled_defect = np.linalg.norm(Fs - FsT, axis=(1, 2))
+    d = np.linalg.eigvalsh((Fs + FsT) / 2.0)
+    dmax, dmin = np.ldexp(d[:, -1], ex), np.ldexp(d[:, 0], ex)
+    spd = (
+        scaled_defect <= 1e-12 * (np.ldexp(1.0, -ex) + np.linalg.norm(Fs, axis=(1, 2)))
+    ) & (dmin > SPD_RTOL * np.maximum(1.0, dmax))
+    stats = [
+        FactorStats(
+            symmetry_defect=defect,
+            min_eigenvalue=lo,
+            condition=hi / lo if lo > 0.0 else math.inf,
         )
-        all_spd = all_spd and spd_ok
-        condition = dmax / dmin if dmin > 0.0 else math.inf
-        stats.append(
-            FactorStats(
-                symmetry_defect=sym_defect,
-                min_eigenvalue=dmin,
-                condition=condition,
-            )
+        for defect, hi, lo in zip(
+            np.ldexp(scaled_defect, ex).tolist(), dmax.tolist(), dmin.tolist()
         )
+    ]
     return VerificationReport(
         residual=residual,
         factors=stats,
         factor_count=len(chain.factors),
         tol=float(tol),
-        passed=bool(residual <= float(tol) and all_spd),
+        passed=bool(residual <= float(tol) and spd.all()),
     )

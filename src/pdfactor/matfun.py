@@ -1,12 +1,14 @@
 """Dense symmetric eigendecomposition and small-matrix functions.
 
-Everything downstream (transport maps, block diagonalization,
-verification, flow simulation) funnels through the primitives here, so
+Transport maps and flow simulation funnel through the primitives here, so
 they are written for determinism first: one symmetric eigensolver (LAPACK
 ``eigh``) with descending order and a fixed eigenvector sign convention,
-and the SPD matrix functions evaluated through it. The polar decomposition
-runs Higham's scaled Newton iteration on the matrix itself, and the general
-exponential uses scaling and squaring with diagonal Pade approximants.
+and the SPD matrix functions evaluated through it. Block diagonalization
+and verification call the stacked LAPACK routines directly, since they
+take many small decompositions at once and need no sign convention. The
+polar decomposition runs Higham's scaled Newton iteration on the matrix
+itself, and the general exponential uses scaling and squaring with
+diagonal Pade approximants.
 """
 
 from __future__ import annotations

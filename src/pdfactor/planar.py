@@ -116,6 +116,14 @@ class FactorChain:
         self.factors = mats
         self.n = n
 
+    @classmethod
+    def _trusted(cls, factors, params=None) -> FactorChain:
+        """A chain of fresh, equal-sized float arrays the library built:
+        taken as they are, without the copy and checks."""
+        chain = cls.__new__(cls)
+        chain.factors, chain.params, chain.n = factors, params, factors[0].shape[0]
+        return chain
+
     def product(self) -> np.ndarray:
         return chain_product(self.factors)
 
@@ -228,7 +236,7 @@ def build_chain(p: ChainParams) -> FactorChain:
                 "the chain is too ill-conditioned at this scale"
             ) from exc
         factors.append(M)
-    return FactorChain(factors=factors, params=p)
+    return FactorChain._trusted(factors, p)
 
 
 def net_rotation(chain: FactorChain) -> float:

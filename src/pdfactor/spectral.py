@@ -1,11 +1,14 @@
 """Real block diagonalization of special orthogonal matrices.
 
-A rotation V splits into planar rotation blocks and fixed axes. We find the
-splitting without complex arithmetic: the symmetric part (V + V^T)/2 has the
-plane cosines as eigenvalues, and inside each of its eigenspaces the skew
-part of the restricted action separates genuine rotation planes from +1/-1
-axes. Minus-one axes always come in pairs (det V = +1) and are merged into
-half-turn blocks, so every emitted rotation angle lies in (0, pi].
+A rotation V splits into planar rotation blocks and fixed axes. The
+symmetric part (V + V^T)/2 has the plane cosines as eigenvalues; inside
+each cluster of them the skew part K commutes with the symmetric part, so
+the Hermitian matrix iK splits the cluster: every eigenvector z of a
+positive rate sin(theta) spans the plane (Im z, Re z), and the directions of
+rate zero are +1/-1 axes. Clusters of one size go through one stacked
+complex ``eigh``. Minus-one axes always come in pairs (det V = +1) and are
+merged into half-turn blocks, so every emitted rotation angle lies in
+(0, pi].
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .errors import (
     NotOrthogonal,
     NumericalFailure,
 )
-from .matfun import _as_square, _frob, sym_eig
+from .matfun import _EPS, _as_square, _frob
 
 __all__ = [
     "RotationBlock",
@@ -32,10 +35,19 @@ __all__ = [
 ]
 
 ORTHO_TOL = 1e-8
-CLUSTER_TOL = 1e-8
-# Directions whose squared rotation rate falls below this are axes.
-AXIS_TOL = 1e-17
-GS_DROP_TOL = 1e-10
+# The reassembled U D U^T must reproduce V within this, and each of the two
+# misreadings below may cost at most a hundredth of it.
+REASSEMBLY_GATE = 1e-9
+_MISREAD = REASSEMBLY_GATE / 100.0
+# A plane read as two axes (a half turn, near pi) leaves ||R(t) - I||_F =
+# 2 sqrt(2) sin(t/2), t its distance to 0 (to pi); that is about
+# sqrt(2) sin(theta), so rates sin(theta) up to this cost about _MISREAD.
+PLANE_CUT = _MISREAD / math.sqrt(2.0)
+# Eigenvectors of the symmetric part are good to about eps/gap (Davis and
+# Kahan), so splitting two clusters at a cosine gap drops a skew coupling of
+# about sin(theta) eps/gap; cutting only at gaps above eps/_MISREAD keeps
+# that within _MISREAD.
+CLUSTER_TOL = _EPS / _MISREAD
 
 
 @dataclass
@@ -86,20 +98,6 @@ class OrthogonalDecomposition:
                 seen.add(i)
 
 
-def _orthonormal_columns(cols, drop_tol=GS_DROP_TOL):
-    """Gram-Schmidt with a second pass; drops dependent directions."""
-    out = []
-    for c in cols:
-        c = c.copy()
-        for _ in range(2):
-            for u in out:
-                c -= (u @ c) * u
-        nc = float(np.linalg.norm(c))
-        if nc > drop_tol:
-            out.append(c / nc)
-    return out
-
-
 def block_diagonalize(V) -> OrthogonalDecomposition:
     """Split a special orthogonal matrix into rotation planes and axes.
 
@@ -111,8 +109,7 @@ def block_diagonalize(V) -> OrthogonalDecomposition:
     """
     V = _as_square(V, "block_diagonalize input")
     n = V.shape[0]
-    I = np.eye(n)
-    defect = _frob(V.T @ V - I)
+    defect = _frob(V.T @ V - np.eye(n))
     if defect > ORTHO_TOL:
         raise NotOrthogonal(f"input has orthogonality defect {defect:.3e}")
     det = float(np.linalg.det(V))
@@ -122,87 +119,75 @@ def block_diagonalize(V) -> OrthogonalDecomposition:
             "into rotation blocks"
         )
 
-    pair = sym_eig((V + V.T) / 2.0)
-    # Group eigenvalues of the symmetric part into clusters.
-    splits = [0]
-    for i in range(1, n):
-        if pair.d[i - 1] - pair.d[i] > CLUSTER_TOL:
-            splits.append(i)
-    splits.append(n)
+    # Ascending cosines; the identity's eigenvectors come back exactly as I.
+    cosines, Q = np.linalg.eigh((V + V.T) / 2.0)
+    W = Q.T @ V @ Q
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(cosines) > CLUSTER_TOL) + 1))
+    sizes = np.diff(np.append(starts, n))
 
-    rotations = []
-    units = []
-    minus = []
-    for a, b in zip(splits[:-1], splits[1:]):
-        m = b - a
-        B = pair.Q[:, a:b]
-        # Everything below runs in cluster coordinates. Staying inside the
-        # restricted action C keeps other clusters' eigenvector noise out
-        # of the partner direction, which matters for small angles where
-        # normalizing by sin(theta) amplifies whatever leaked in.
-        C = B.T @ (V @ B)
-        K = (C - C.T) / 2.0
-        sep = sym_eig(-(K @ K))
-        R = [sep.Q[:, j] for j in range(m) if sep.d[j] > AXIS_TOL]
-        axis_cols = [sep.Q[:, j] for j in range(m) if sep.d[j] <= AXIS_TOL]
-        placed = []
-        while R:
-            v = R[0]
-            Cv = C @ v
-            al = float(v @ Cv)
-            w_raw = Cv - al * v
-            r = float(np.linalg.norm(w_raw))
-            if r <= GS_DROP_TOL:
-                axis_cols.append(v)
-                R = R[1:]
-                continue
-            theta = math.atan2(r, al)
-            # w_raw / r would magnify any leak into the axes, the planes
-            # already found here or v by 1/sin(theta), so take those
-            # components out before normalizing.
-            for u in axis_cols + placed + [v]:
-                w_raw = w_raw - (u @ w_raw) * u
-            w = w_raw / float(np.linalg.norm(w_raw))
-            placed += [v, w]
-            # Basis order (w, v) makes the restricted action exactly
-            # [[cos, sin], [-sin, cos]] with positive theta.
-            rotations.append((theta, B @ w, B @ v))
-            rest = []
-            for c in R[1:]:
-                rest.append(c - (v @ c) * v - (w @ c) * w)
-            # a rotation spends two cluster dimensions, so no more than
-            # len(R) - 2 directions can genuinely survive deflation
-            rest.sort(key=lambda c: -float(np.linalg.norm(c)))
-            R = _orthonormal_columns(rest[: max(0, len(R) - 2)])
-        for u in axis_cols:
-            if float(u @ (C @ u)) > 0.0:
-                units.append(B @ u)
-            else:
-                minus.append(B @ u)
+    thetas, pairs, axes, axis_cos = [], [], [], []
+    for m in sorted(set(sizes.tolist())):
+        first = starts[sizes == m]
+        if m == 1:  # a lone direction is an axis
+            axes.append(Q[:, first])
+            axis_cos.append(cosines[first])
+            continue
+        idx = first[:, None] + np.arange(m)
+        # Everything below runs in cluster coordinates: the restricted
+        # action keeps other clusters' eigenvector noise out of the planes.
+        Wc = W[idx[:, :, None], idx[:, None, :]]
+        WcT = Wc.transpose(0, 2, 1)
+        # Two planes at pi/2 -+ t share one rate. Where |cos| < 1/2 (no axes
+        # there) rate + cos keeps them apart, and keeps the rate's sign.
+        quarter = (np.abs(cosines[first]) < 0.5)[:, None, None]
+        rates, Z = np.linalg.eigh(0.5 * (quarter * (Wc + WcT) + 1j * (Wc - WcT)))
+        planes = np.minimum(np.count_nonzero(rates > PLANE_CUT, axis=1), m // 2)
+        for p in sorted(set(planes.tolist())):
+            sel = planes == p
+            C = np.eye(m)
+            if p:
+                Zp = Z[sel][:, :, m - p :]
+                P = np.empty(Zp.shape[:2] + (2 * p,))
+                P[:, :, 0::2] = Zp.imag
+                P[:, :, 1::2] = Zp.real
+                # The complete factor spans the planes first, then the axes.
+                C, R = np.linalg.qr(P, mode="complete")
+                C[:, :, : 2 * p] *= np.sign(np.diagonal(R, 0, 1, 2))[:, None]
+            A = np.swapaxes(C, -1, -2) @ Wc[sel] @ C
+            cols = (Q[:, idx[sel]].transpose(1, 0, 2) @ C).transpose(1, 0, 2)
+            # Basis order (Im z, Re z) makes each plane's restricted action
+            # [[cos, sin], [-sin, cos]] with positive theta; atan2 reads it
+            # from twice the cosine and the sine.
+            diag = np.diagonal(A, 0, 1, 2)
+            sin = (np.diagonal(A, 1, 1, 2) - np.diagonal(A, -1, 1, 2))[:, 0 : 2 * p : 2]
+            cos = diag[:, 0 : 2 * p : 2] + diag[:, 1 : 2 * p : 2]
+            thetas.append(np.arctan2(sin, cos).ravel())
+            pairs.append(cols[:, :, : 2 * p].reshape(n, -1))
+            axes.append(cols[:, :, 2 * p :].reshape(n, -1))
+            axis_cos.append(diag[:, 2 * p :].ravel())
 
-    if len(minus) % 2:
+    axes = np.concatenate(axes, axis=1)
+    axis_cos = np.concatenate(axis_cos)
+    minus = axes[:, axis_cos <= 0.0]
+    if minus.shape[1] % 2:
         raise NumericalFailure(
             "odd count of -1 eigenvalues in a det +1 matrix; "
             "input is too far from orthogonal to classify"
         )
-    for i in range(0, len(minus), 2):
-        rotations.append((math.pi, minus[i], minus[i + 1]))
-
-    rotations.sort(key=lambda t: -t[0])
-    cols = []
-    blocks = []
-    row = 0
-    for theta, b1, b2 in rotations:
-        blocks.append(RotationBlock(theta=theta, rows=(row, row + 1)))
-        cols.extend([b1, b2])
-        row += 2
-    for u in units:
-        blocks.append(UnitBlock(row=row))
-        cols.append(u)
-        row += 1
-    U = np.column_stack(cols) if cols else np.zeros((n, 0))
+    thetas.append(np.full(minus.shape[1] // 2, math.pi))
+    pairs.append(minus)
+    theta = np.concatenate(thetas)
+    order = np.argsort(-theta, kind="stable")
+    rotations = np.concatenate(pairs, axis=1).reshape(n, -1, 2)[:, order]
+    units = axes[:, axis_cos > 0.0]
+    U = np.concatenate([rotations.reshape(n, -1), units], axis=1)
+    blocks = [
+        RotationBlock(theta=t, rows=(2 * i, 2 * i + 1))
+        for i, t in enumerate(theta[order].tolist())
+    ]
+    blocks += [UnitBlock(row=2 * len(order) + j) for j in range(units.shape[1])]
     decomp = OrthogonalDecomposition(U=U, blocks=blocks)
-    if _frob(assemble(decomp) - V) > 1e-9:
+    if _frob(assemble(decomp) - V) > REASSEMBLY_GATE:
         raise NumericalFailure(
             "reassembled decomposition does not reproduce the input; "
             "eigenvalue clusters are too entangled"

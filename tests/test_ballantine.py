@@ -260,6 +260,27 @@ class TestVerify:
         assert rep.factors[0].min_eigenvalue < 0
         assert math.isinf(rep.factors[0].condition)
 
+    def test_stats_match_per_factor_eigvalsh(self):
+        # verify takes every factor's eigenvalues in one stacked call, each
+        # factor in units of its own power of two; the report must still
+        # give each factor's own extremes, also with one factor near 1e200.
+        r = rng(58)
+        for scale in (1.0, 1e200):
+            for _ in range(10):
+                n = int(r.integers(2, 9))
+                factors = [
+                    random_spd(r, n, cond_max=1e4) * 10.0 ** r.uniform(-3.0, 3.0)
+                    for _ in range(int(r.integers(1, 7)))
+                ]
+                factors[0] = factors[0] * scale
+                chain = FactorChain(factors)
+                rep = verify(chain, chain.product(), 1e-12)
+                assert rep.passed
+                for M, st in zip(factors, rep.factors):
+                    d = np.linalg.eigvalsh(M)
+                    assert abs(st.min_eigenvalue - d[0]) <= 1e-13 * d[-1]
+                    assert_allclose(st.condition, d[-1] / d[0], rtol=1e-9)
+
     def test_report_serializes(self):
         rep = verify(FactorChain([np.eye(2)]), np.eye(2), 1e-10)
         d = rep.as_dict()

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdfactor.errors import InvalidInput, NegativeDeterminant, NotOrthogonal
+from pdfactor.ballantine import factor_matrix, verify
+from pdfactor.errors import (
+    InvalidInput,
+    NegativeDeterminant,
+    NotOrthogonal,
+    PdfactorError,
+)
 from pdfactor.matfun import polar
 from pdfactor.planar import rotation2
 from pdfactor.spectral import (
@@ -181,6 +187,54 @@ class TestBlockDiagonalize:
     def test_rejects_reflection(self):
         with pytest.raises(NegativeDeterminant):
             block_diagonalize(np.diag([1.0, 1.0, -1.0]))
+
+
+def _family_angles(family, r, planes):
+    if family == "tiny":
+        return 10.0 ** r.uniform(-12.0, -4.0, planes)
+    if family == "near_half_turn":
+        return math.pi - 10.0 ** r.uniform(-12.0, -4.0, planes)
+    if family == "nearly_equal":
+        base = r.uniform(0.1, math.pi - 0.1)
+        return base + 10.0 ** r.uniform(-12.0, -6.0) * np.arange(planes)
+    if family == "quarter_turn_pairs":
+        # pi/2 -+ t have equal rates sin(theta) but cosines 2 sin(t) apart
+        t = 10.0 ** r.uniform(-12.0, -4.0)
+        return math.pi / 2.0 + t * np.resize([-1.0, 1.0], planes)
+    return r.choice([1e-10, 1e-6, 0.5, math.pi - 1e-9, math.pi, 2.0], planes)
+
+
+class TestHardAngleFamilies:
+    # Rotations Q D Q^T whose planes sit where splitting them is delicate:
+    # rates sin(theta) far below the rounding of their squares, half turns
+    # within rounding of pi, cosine gaps just above the rounding of the
+    # symmetric part's eigenvectors, and equal rates at distinct cosines.
+    # Every draw must factor and verify.
+    @pytest.mark.parametrize(
+        "family",
+        ["tiny", "near_half_turn", "nearly_equal", "mixed", "quarter_turn_pairs"],
+    )
+    def test_family_factors_within_tol(self, family):
+        r = rng(49)
+        worst, failures = 0.0, []
+        for draw in range(150):
+            n = int(r.integers(2, 17))
+            planes = int(r.integers(1, n // 2 + 1))
+            angles = _family_angles(family, r, planes)
+            Q = random_rotation(r, n)
+            V = Q @ embed(*[(a,) for a in angles], *[1.0] * (n - 2 * planes)) @ Q.T
+            try:
+                rep = verify(factor_matrix(V), V, 1e-8)
+            except PdfactorError as exc:
+                failures.append(f"draw {draw}, n={n}: {exc!r}")
+                continue
+            worst = max(worst, rep.residual)
+            if not rep.passed:
+                failures.append(f"draw {draw}, n={n}: residual {rep.residual:.3e}")
+        assert not failures, (
+            f"{len(failures)} of 150 failed (worst residual of the rest "
+            f"{worst:.3e}): {failures[:5]}"
+        )
 
 
 class TestAssemble:
