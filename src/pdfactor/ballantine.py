@@ -21,9 +21,16 @@ from .errors import (
     NonPositiveDeterminant,
     SingularInput,
 )
-from .matfun import SPD_RTOL, _as_square, _frob, polar
-from .planar import FactorChain, _check_scheme, build_chain, plan_scheme
-from .spectral import RotationBlock, block_diagonalize
+from .matfun import _as_square, _frob, _spd_ok, polar
+from .planar import (
+    FactorChain,
+    _chain_factors,
+    _check_scheme,
+    _plan,
+    build_chain,
+    plan_scheme,
+)
+from .spectral import _blocks_in_identity, _planes, block_diagonalize
 
 __all__ = [
     "FactorOptions",
@@ -115,35 +122,25 @@ def factor_rotation2(psi, opts: FactorOptions | None = None) -> FactorChain:
 def factor_orthogonal(V, opts: FactorOptions | None = None) -> FactorChain:
     """SPD chain for a special orthogonal matrix of any size.
 
-    Each rotation plane gets its own scheme (small angles plan small lam);
-    shorter block chains are padded with identity factors at the end so
-    stage i can assemble the i-th factor of every block at once.
+    Each rotation plane gets its own scheme (small angles plan small lam),
+    all with k_rotation factors, so stage i is U D_i U^T with D_i holding
+    the i-th factor of every plane. All planes are planned and built at
+    once, and all stages assembled by one stacked product.
 
     Raises NotOrthogonal or NegativeDeterminant (from block_diagonalize)
-    for inputs outside SO(n).
+    for inputs outside SO(n), TargetUnreachable or NumericalFailure (from
+    the plans and chains) for the largest angle that fails.
     """
     opts = opts or FactorOptions()
     decomp = block_diagonalize(V)
-    n = decomp.n
-    rotations = [b for b in decomp.blocks if isinstance(b, RotationBlock)]
-    per_block = [factor_rotation2(b.theta, opts).factors for b in rotations]
-    stages = max((len(f) for f in per_block), default=0)
-    if stages == 0:
-        return FactorChain._trusted([np.eye(n)])
-
-    factors = []
-    for i in range(stages):
-        D = np.eye(n)
-        for block, fs in zip(rotations, per_block):
-            M = fs[i] if i < len(fs) else np.eye(2)
-            r0, r1 = block.rows
-            D[r0, r0] = M[0, 0]
-            D[r0, r1] = M[0, 1]
-            D[r1, r0] = M[1, 0]
-            D[r1, r1] = M[1, 1]
-        N = decomp.U @ D @ decomp.U.T
-        factors.append((N + N.T) / 2.0)
-    return FactorChain._trusted(factors)
+    theta, rows = _planes(decomp)
+    if not theta.size:
+        return FactorChain._trusted([np.eye(decomp.n)])
+    k = opts.k_rotation
+    a, b, d = _chain_factors(*_plan(theta, k, opts.lam_budget), k)
+    D = _blocks_in_identity(decomp.n, rows, a, b, b, d)
+    N = decomp.U @ D @ decomp.U.T
+    return FactorChain._trusted(list((N + N.transpose(0, 2, 1)) / 2.0))
 
 
 def factor_matrix(Phi, opts: FactorOptions | None = None) -> FactorChain:
@@ -156,9 +153,10 @@ def factor_matrix(Phi, opts: FactorOptions | None = None) -> FactorChain:
     opts = opts or FactorOptions()
     Phi = _as_square(Phi, "factor_matrix input")
     n = Phi.shape[0]
-    # slogdet, unlike det, cannot overflow for large entries.
-    sign, logdet = np.linalg.slogdet(Phi)
-    if sign == 0.0 or logdet < math.log(1e-300):
+    # slogdet, unlike det, cannot overflow or underflow at any scale; a
+    # numerically singular input fails polar's condition estimate.
+    sign, _ = np.linalg.slogdet(Phi)
+    if sign == 0.0:
         raise SingularInput("input determinant vanishes to working precision")
     if sign < 0.0:
         raise NonPositiveDeterminant(
@@ -214,7 +212,7 @@ def verify(chain, target, tol) -> VerificationReport:
     dmax, dmin = np.ldexp(d[:, -1], ex), np.ldexp(d[:, 0], ex)
     spd = (
         scaled_defect <= 1e-12 * (np.ldexp(1.0, -ex) + np.linalg.norm(Fs, axis=(1, 2)))
-    ) & (dmin > SPD_RTOL * np.maximum(1.0, dmax))
+    ) & _spd_ok(dmax, dmin)
     stats = [
         FactorStats(
             symmetry_defect=defect,

@@ -110,12 +110,19 @@ def sym_eig(S) -> EigenPair:
     return EigenPair(Q=Q, d=d)
 
 
+def _spd_ok(dmax, dmin):
+    """The SPD certificate, elementwise on extreme eigenvalues: the smallest
+    must clear SPD_RTOL times the largest (NaN fails). It is relative, so a
+    matrix passes or fails it alike at every scale."""
+    return dmin > SPD_RTOL * dmax
+
+
 def _certify_spd(d, name: str) -> None:
-    """Raise NotPositiveDefinite unless d[-1] > SPD_RTOL max(1, d[0]), for
-    eigenvalues d in descending order (NaN fails)."""
+    """Raise NotPositiveDefinite unless eigenvalues d, in descending order,
+    pass the SPD certificate."""
     dmax = float(d[0])
     dmin = float(d[-1])
-    if not dmin > SPD_RTOL * max(1.0, dmax):
+    if not _spd_ok(dmax, dmin):
         raise NotPositiveDefinite(
             f"{name} is not positive definite to working precision "
             f"(eigenvalue range [{dmin:.3e}, {dmax:.3e}])"

@@ -11,9 +11,11 @@ With c = 2/(lam + 1/lam) that angle has the closed form
 
 continuous and pi-periodic in theta. Sweeping it, inverting it for a target
 and planning the cheapest lam that reaches a target are exact evaluations
-of that formula. Every waypoint is unimodular, so each factor has a closed
-form too: the Monge map from A to B is (adj A + B) / sqrt(2 + tr(AB)), and
-building a chain takes no eigendecomposition. The gradient generator whose
+of that formula. The waypoints R(phi) diag(lam, 1/lam) R(phi)^T, phi =
+(m-1) theta, are closed forms too, and unimodular, so the Monge map from
+A to B is (adj A + B) / sqrt(2 + tr(AB)). Plans and chains of all the
+rotation planes of an n x n matrix are elementwise arithmetic on arrays
+of angles, with no eigendecomposition. The gradient generator whose
 exponential realizes a single leg in time t_fn also lives here.
 """
 
@@ -29,11 +31,17 @@ from .errors import (
     InvalidParams,
     DimensionMismatch,
     NotARotation,
-    NotPositiveDefinite,
     NumericalFailure,
     TargetUnreachable,
 )
-from .matfun import _as_square, _certify_spd, _frob, _require_symmetric, spd_log
+from .matfun import (
+    _as_square,
+    _certify_spd,
+    _frob,
+    _require_symmetric,
+    _spd_ok,
+    spd_log,
+)
 
 __all__ = [
     "ChainParams",
@@ -58,6 +66,11 @@ ROTATION_GATE = 1e-3
 
 # Ratio of plan_scheme's lam grid 1.25^j.
 _LAM_STEP = 1.25
+# Every finite grid value (1.25^3181 overflows), as Python's float power
+# gives it: plans land on exactly these numbers.
+_LAM_GRID = np.array([_LAM_STEP**j for j in range(3181)])
+# Entries (a, b, d) of a symmetric 2x2 [[a, b], [b, d]], as index arrays.
+_UPPER = ([0, 0, 1], [0, 1, 1])
 
 
 def _check_scheme(k, lam, k_name="k", lam_name="lam") -> tuple:
@@ -161,6 +174,35 @@ def _coerce_params(p) -> ChainParams:
     raise InvalidParams(f"expected ChainParams, got {type(p).__name__}")
 
 
+def _matrices(E) -> np.ndarray:
+    """Symmetric 2x2 matrices [[a, b], [b, d]] from entries (a, b, d) along
+    the first axis of E: shape (3, ...) to (..., 2, 2)."""
+    return np.moveaxis(E[[0, 1, 1, 2]], 0, -1).reshape(E.shape[1:] + (2, 2))
+
+
+def _waypoints(lam, theta, k: int) -> np.ndarray:
+    """Entries (a, b, d) of the waypoints S_0, ..., S_k of one chain per
+    plane, as a (3, k + 1, planes) array, from arrays lam and theta.
+
+    S_0 = S_k = I, and S_m = R(phi) diag(lam, 1/lam) R(phi)^T with
+    phi = (m - 1) theta for 0 < m < k. Its entries a = c^2 lam + s^2/lam,
+    b = -c s (lam - 1/lam) and d = s^2 lam + c^2/lam are sums of positive
+    terms; the form h -+ g cos(2 phi) would lose relative accuracy
+    eps lam^2 in the small one. lam = 1 gives exact identities, although
+    c^2 + s^2 need not round to 1.
+    """
+    phi = np.arange(k - 1.0)[:, None] * theta
+    c, s = np.cos(phi), np.sin(phi)
+    mu = 1.0 / lam
+    stretched = lam != 1.0
+    W = np.empty((3, k + 1, lam.size))
+    W[:, 0] = W[:, k] = np.array([1.0, 0.0, 1.0])[:, None]
+    W[0, 1:k] = np.where(stretched, c * c * lam + s * s * mu, 1.0)
+    W[1, 1:k] = -c * s * (lam - mu)
+    W[2, 1:k] = np.where(stretched, s * s * lam + c * c * mu, 1.0)
+    return W
+
+
 def chain_covariances(p: ChainParams) -> list:
     """Covariance waypoints I = S_0, S_1, ..., S_k = I of the scheme.
 
@@ -168,40 +210,57 @@ def chain_covariances(p: ChainParams) -> list:
     by theta. With lam = 1 every waypoint is exactly the identity.
     """
     p = _coerce_params(p)
-    I = np.eye(2)
-    if p.lam == 1.0:
-        return [I.copy() for _ in range(p.k + 1)]
-    U = rotation2(p.theta)
-    covs = [I, np.diag([p.lam, 1.0 / p.lam])]
-    for _ in range(p.k - 2):
-        S = U @ covs[-1] @ U.T
-        covs.append((S + S.T) / 2.0)
-    covs.append(np.eye(2))
-    return covs
+    W = _waypoints(np.array([p.lam]), np.array([p.theta]), p.k)
+    return list(_matrices(W)[:, 0])
 
 
 def _monge2(A, B) -> np.ndarray:
-    """SPD solution M of M A M = B for 2x2 SPD A, B with det A = det B = 1.
+    """SPD solutions M of M A M = B for 2x2 SPD A, B with det A = det B = 1,
+    given and returned as entries (a, b, d) along the first axis.
 
     With A^{-1} = adj A, M = A^{-1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2}
     is (adj A + B) / sqrt(2 + tr(AB)): the square root of a unimodular SPD
     2x2 matrix X is (X + I) / sqrt(2 + tr X). tr(AB) >= 2, so the root
     has no cancellation.
     """
-    adj = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]])
-    # B is symmetric, so the entrywise dot product of A and B is tr(AB).
-    return (adj + B) / math.sqrt(2.0 + float(np.vdot(A, B)))
+    a0, b0, d0 = A
+    a1, b1, d1 = B
+    root = np.sqrt(2.0 + a0 * a1 + 2.0 * b0 * b1 + d0 * d1)
+    return np.stack((d0 + a1, b1 - b0, a0 + d1)) / root
 
 
-def _eig2(M) -> tuple:
-    """Eigenvalues (largest, smallest) of a symmetric 2x2 matrix, from its
-    trace and determinant; the smaller one as det/largest, which avoids
-    the cancellation in half-trace minus radius."""
-    a, b, c = float(M[0, 0]), float(M[0, 1]), float(M[1, 1])
-    half_tr = 0.5 * (a + c)
-    r = math.hypot(0.5 * (a - c), b)
+def _eig2(E) -> tuple:
+    """Eigenvalues (largest, smallest) of symmetric 2x2 matrices with
+    entries E = (a, b, d), from trace and determinant; the smaller one as
+    det/largest, which avoids the cancellation in half-trace minus radius."""
+    a, b, d = E
+    half_tr = 0.5 * (a + d)
+    r = np.hypot(0.5 * (a - d), b)
     dmax = half_tr + r
-    return dmax, ((a * c - b * b) / dmax if dmax > 0.0 else half_tr - r)
+    pos = dmax > 0.0
+    return dmax, np.where(pos, (a * d - b * b) / np.where(pos, dmax, 1.0), half_tr - r)
+
+
+def _chain_factors(lam, theta, k: int) -> np.ndarray:
+    """Entries (a, b, d) of the k factors of one chain per plane (see
+    build_chain), as a (3, k, planes) array, from arrays lam and theta.
+    Raises NumericalFailure for the first plane that fails the SPD
+    certificate, naming its first failing factor."""
+    W = _waypoints(lam, theta, k)
+    F = _monge2(W[:, :-1], W[:, 1:])
+    root = np.sqrt(lam)
+    F[0, 0], F[1, 0], F[2, 0] = root, 0.0, 1.0 / root
+    ok = _spd_ok(*_eig2(F))
+    if not ok.all():
+        p = int(np.argmin(ok.all(axis=0)))
+        # A factor's condition is lam for the first one and up to lam^2
+        # for the others (theta near a quarter turn); far enough out its
+        # smallest eigenvalue drops below the SPD certificate.
+        raise NumericalFailure(
+            f"factor {int(np.argmin(ok[:, p])) + 1} lost SPD certification "
+            f"at lam={lam[p]:.6g}; the chain is too ill-conditioned at this scale"
+        )
+    return F
 
 
 def build_chain(p: ChainParams) -> FactorChain:
@@ -211,32 +270,15 @@ def build_chain(p: ChainParams) -> FactorChain:
     waypoint is unimodular, so each map has the closed form
     (adj S_{j-1} + S_j) / sqrt(2 + tr(S_{j-1} S_j)); the first factor is
     exactly diag(sqrt(lam), 1/sqrt(lam)), and lam = 1 gives exact
-    identities.
+    identities. This is the one-plane case of the chains factor_orthogonal
+    builds for all planes at once.
 
     Raises NumericalFailure if a factor fails the SPD certificate
-    (smallest eigenvalue above SPD_RTOL times the largest, or 1).
+    (smallest eigenvalue above SPD_RTOL times the largest).
     """
     p = _coerce_params(p)
-    covs = chain_covariances(p)
-    root = math.sqrt(p.lam)
-    factors = []
-    for j in range(1, p.k + 1):
-        if j == 1:
-            M = np.diag([root, 1.0 / root])
-        else:
-            M = _monge2(covs[j - 1], covs[j])
-        try:
-            _certify_spd(_eig2(M), f"factor {j}")
-        except NotPositiveDefinite as exc:
-            # A factor's condition is lam for the first one and up to
-            # lam^2 for the others (theta near a quarter turn); far enough
-            # out its smallest eigenvalue drops below the SPD certificate.
-            raise NumericalFailure(
-                f"factor {j} lost SPD certification at lam={p.lam:.6g}; "
-                "the chain is too ill-conditioned at this scale"
-            ) from exc
-        factors.append(M)
-    return FactorChain._trusted(factors, p)
+    F = _chain_factors(np.array([p.lam]), np.array([p.theta]), p.k)
+    return FactorChain._trusted(list(_matrices(F)[:, 0]), p)
 
 
 def net_rotation(chain: FactorChain) -> float:
@@ -264,18 +306,30 @@ def net_rotation(chain: FactorChain) -> float:
     return math.pi if phi <= -math.pi + 1e-12 else phi
 
 
-def _c_terms(lam: float) -> tuple:
-    """c = 2/(lam + 1/lam) and 1 - c, the latter without cancellation."""
+def _c_terms(lam) -> tuple:
+    """c = 2/(lam + 1/lam) and 1 - c, the latter without cancellation
+    (elementwise)."""
     r = 1.0 / lam
     s = 1.0 + r * r
     return 2.0 * r / s, (1.0 - r) ** 2 / s
 
 
-def _max_phi(lam: float, k: int) -> float:
+def _max_phi(lam, k: int):
     """Largest net angle of the k-factor chain at lam, reached at
-    tan(theta) = 1/sqrt(c)."""
+    tan(theta) = 1/sqrt(c) (elementwise)."""
     c, d = _c_terms(lam)
-    return (k - 2) * math.atan(d / (2.0 * math.sqrt(c)))
+    return (k - 2) * np.arctan(d / (2.0 * np.sqrt(c)))
+
+
+def _tilt(lam, alpha):
+    """Smallest theta with net angle (k-2) alpha > 0 at lam (elementwise):
+    t = tan(theta) is the smaller root of c tan(alpha) t^2 - (1-c) t +
+    tan(alpha) = 0. A reachable target makes the discriminant >= 0 up to
+    rounding at the peak."""
+    c, d = _c_terms(lam)
+    t = np.tan(alpha)
+    disc = np.maximum(d * d - 4.0 * c * t * t, 0.0)
+    return np.arctan(2.0 * t / (d + np.sqrt(disc)))
 
 
 def phi_sweep(lam, k, theta_max, steps) -> SweepTable:
@@ -311,9 +365,7 @@ def phi_sweep(lam, k, theta_max, steps) -> SweepTable:
 def solve_theta(lam, k, psi) -> float:
     """Smallest theta in [0, pi] whose net angle equals psi.
 
-    Inverts the closed form exactly. With alpha = psi/(k-2), t = tan(theta)
-    solves c tan(alpha) t^2 - (1-c) t + tan(alpha) = 0, whose smaller root
-    is theta = atan(2 tan(alpha) / ((1-c) + sqrt((1-c)^2 - 4 c tan^2(alpha)))).
+    Inverts the closed form exactly, with alpha = psi/(k-2) (see _tilt).
 
     Raises TargetUnreachable, with the largest reachable angle
     (k-2) atan((1-c) / (2 sqrt(c))) in ``max_phi``, when psi exceeds it.
@@ -324,7 +376,7 @@ def solve_theta(lam, k, psi) -> float:
         raise InvalidParams(f"target angle must be >= 0, got {psi}")
     if psi == 0.0:
         return 0.0
-    top = _max_phi(lam, k)
+    top = float(_max_phi(lam, k))
     alpha = psi / (k - 2)
     if alpha >= math.pi / 2.0 or psi > top:
         raise TargetUnreachable(
@@ -332,11 +384,41 @@ def solve_theta(lam, k, psi) -> float:
             f"k={k} (max {top:.6g})",
             max_phi=top,
         )
-    c, d = _c_terms(lam)
-    t = math.tan(alpha)
-    # psi <= top makes the discriminant >= 0 up to rounding at the peak.
-    disc = max(d * d - 4.0 * c * t * t, 0.0)
-    return math.atan(2.0 * t / (d + math.sqrt(disc)))
+    return float(_tilt(lam, alpha))
+
+
+def _plan(psi, k: int, budget: float) -> tuple:
+    """The plans of plan_scheme for an array of angles psi in (0, pi], all
+    with k factors and one budget: arrays of lam and theta.
+
+    Raises TargetUnreachable, naming the largest angle that is out of
+    reach, as plan_scheme does.
+    """
+    j_top = int(np.searchsorted(_LAM_GRID, budget, side="right")) - 1
+    alpha = psi / (k - 2)
+    open_ = alpha < math.pi / 2.0
+    # tan^2 rounds below 1 where alpha is below about eps; lam_min is 1.
+    tan2 = np.tan(math.pi / 4.0 + np.where(open_, alpha, 0.0) / 2.0) ** 2
+    log_lam_min = np.arccosh(np.maximum(tan2, 1.0))
+    # A grid exponent from a rounded log may sit one step off: start one
+    # step below ceil(log(lam_min) / log(1.25)) and step up each angle
+    # still out of reach, by the test solve_theta applies.
+    j0 = np.maximum(np.ceil(log_lam_min / math.log(_LAM_STEP)) - 1.0, 0.0)
+    j = np.where(open_, j0, j_top + 1).astype(np.intp)
+    while True:
+        short = (j <= j_top) & (_max_phi(_LAM_GRID[np.minimum(j, j_top)], k) < psi)
+        if not short.any():
+            break
+        j += short
+    if j.max() > j_top:
+        top = float(_max_phi(_LAM_GRID[j_top], k))
+        raise TargetUnreachable(
+            f"net angle {psi[j > j_top].max():.6g} needs more than "
+            f"lam={budget:.6g} at k={k} (largest achievable {top:.6g})",
+            max_phi=top,
+        )
+    lam = _LAM_GRID[j]
+    return lam, _tilt(lam, alpha)
 
 
 def plan_scheme(psi, k, lam_budget) -> ChainParams:
@@ -351,7 +433,8 @@ def plan_scheme(psi, k, lam_budget) -> ChainParams:
 
     Raises TargetUnreachable, with the largest angle reachable on the grid
     within the budget in ``max_phi``, when that grid value exceeds
-    lam_budget.
+    lam_budget. This is the one-angle case of the plans factor_orthogonal
+    makes for all planes at once.
     """
     psi = float(psi)
     if not math.isfinite(psi) or not 0.0 <= psi <= math.pi:
@@ -359,27 +442,8 @@ def plan_scheme(psi, k, lam_budget) -> ChainParams:
     k, budget = _check_scheme(k, lam_budget, lam_name="lam budget")
     if psi == 0.0:
         return ChainParams(lam=1.0, theta=0.0, k=k)
-    # Grid exponents from rounded logs may sit one step off: j_top is nudged
-    # up and then checked, and the search starts one step below
-    # ceil(log(lam_min) / log(1.25)) and settles on the same reachability
-    # test that solve_theta applies.
-    step = math.log(_LAM_STEP)
-    j_top = math.floor(math.log(budget) / step + 1e-9)
-    if _LAM_STEP**j_top > budget:
-        j_top -= 1
-    alpha = psi / (k - 2)
-    if alpha < math.pi / 2.0:
-        log_lam_min = math.acosh(math.tan(math.pi / 4.0 + alpha / 2.0) ** 2)
-        for j in range(max(0, math.ceil(log_lam_min / step) - 1), j_top + 1):
-            lam = _LAM_STEP**j
-            if _max_phi(lam, k) >= psi:
-                return ChainParams(lam=lam, theta=solve_theta(lam, k, psi), k=k)
-    top = _max_phi(_LAM_STEP**j_top, k)
-    raise TargetUnreachable(
-        f"net angle {psi:.6g} needs more than lam={budget:.6g} at k={k} "
-        f"(largest achievable {top:.6g})",
-        max_phi=top,
-    )
+    lam, theta = _plan(np.array([psi]), k, budget)
+    return ChainParams(lam=float(lam[0]), theta=float(theta[0]), k=k)
 
 
 def gradient_generator(Sigma0, theta, t_fn) -> np.ndarray:
@@ -403,12 +467,12 @@ def gradient_generator(Sigma0, theta, t_fn) -> np.ndarray:
     if not math.isfinite(t_fn) or t_fn <= 0.0:
         raise InvalidParams(f"t_fn must be positive, got {t_fn}")
     S0 = _require_symmetric(S0, "gradient_generator covariance")
-    dmax, dmin = _eig2(S0)
+    dmax, dmin = _eig2(S0[_UPPER])
     _certify_spd((dmax, dmin), "gradient_generator covariance")
     U = rotation2(theta)
     S0 = S0 / math.sqrt(dmax * dmin)  # dmax dmin = det S0
     S1 = U @ S0 @ U.T
-    M = _monge2(S0, (S1 + S1.T) / 2.0)
+    M = _matrices(_monge2(S0[_UPPER], ((S1 + S1.T) / 2.0)[_UPPER]))
     A = spd_log(M) / t_fn
     A = (A + A.T) / 2.0
     # det M = 1, so trace(A) is roundoff; project it out so volume

@@ -195,18 +195,35 @@ def block_diagonalize(V) -> OrthogonalDecomposition:
     return decomp
 
 
+def _planes(d: OrthogonalDecomposition) -> tuple:
+    """Angles (planes,) and row pairs (planes, 2) of the rotation blocks."""
+    rot = [b for b in d.blocks if isinstance(b, RotationBlock)]
+    return (
+        np.array([b.theta for b in rot]),
+        np.array([b.rows for b in rot], dtype=np.intp).reshape(-1, 2),
+    )
+
+
+def _blocks_in_identity(n: int, rows, m00, m01, m10, m11) -> np.ndarray:
+    """Identity matrices of size n with a 2x2 block [[m00, m01], [m10, m11]]
+    on each row pair of ``rows`` (planes, 2). The entries have shape
+    (..., planes) and the result (..., n, n)."""
+    D = np.zeros(np.shape(m00)[:-1] + (n, n))
+    diag = np.arange(n)
+    D[..., diag, diag] = 1.0
+    i, j = rows.T
+    D[..., i, i] = m00
+    D[..., i, j] = m01
+    D[..., j, i] = m10
+    D[..., j, j] = m11
+    return D
+
+
 def assemble(d: OrthogonalDecomposition) -> np.ndarray:
     """Rebuild U D U^T from a decomposition; rows not covered by any
     block act as identity."""
     if not isinstance(d, OrthogonalDecomposition):
         raise InvalidInput("assemble expects an OrthogonalDecomposition")
-    D = np.eye(d.n)
-    for b in d.blocks:
-        if isinstance(b, RotationBlock):
-            i, j = b.rows
-            c, s = math.cos(b.theta), math.sin(b.theta)
-            D[i, i] = c
-            D[i, j] = s
-            D[j, i] = -s
-            D[j, j] = c
-    return d.U @ D @ d.U.T
+    theta, rows = _planes(d)
+    c, s = np.cos(theta), np.sin(theta)
+    return d.U @ _blocks_in_identity(d.n, rows, c, s, -s, c) @ d.U.T

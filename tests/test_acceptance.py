@@ -7,6 +7,7 @@ red criterion still reports what was actually observed.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,7 +362,7 @@ def test_criterion_10_cli_contract(tmp_path, capsys):
     capsys.readouterr()
     body = np.array([
         [float(v) for v in line.split(",")]
-        for line in open(sweep_path, encoding="utf-8").read().splitlines()[1:]
+        for line in Path(sweep_path).read_text(encoding="utf-8").splitlines()[1:]
     ])
     hits = body[np.abs(body[:, 2] - 180.0) <= 0.2]
     crossing = hits[np.abs(hits[:, 0] - 70.3) <= 1.0]

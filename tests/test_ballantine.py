@@ -18,10 +18,12 @@ from pdfactor.errors import (
     NegativeDeterminant,
     NonPositiveDeterminant,
     NotOrthogonal,
+    NumericalFailure,
     SingularInput,
     TargetUnreachable,
 )
-from pdfactor.planar import FactorChain, rotation2
+from pdfactor.planar import FactorChain, _plan, build_chain, plan_scheme, rotation2
+from pdfactor.spectral import _planes, block_diagonalize
 
 from _helpers import random_rotation, random_spd, rng
 
@@ -36,6 +38,15 @@ DISPLAY_FACTORS = [
     np.array([[3.32, 2.71], [2.71, 2.52]]),
     np.array([[1.58, -2.34], [-2.34, 4.08]]),
 ]
+
+
+def rotation_with_angles(r, n, angles):
+    """Q diag(R(angles[0]), R(angles[1]), ..., 1, ...) Q^T for a random Q."""
+    D = np.eye(n)
+    for p, t in enumerate(angles):
+        D[2 * p : 2 * p + 2, 2 * p : 2 * p + 2] = rotation2(t)
+    Q = random_rotation(r, n)
+    return Q @ D @ Q.T
 
 
 def all_spd(factors):
@@ -124,6 +135,68 @@ class TestFactorOrthogonal:
         assert max(conds) < 1.5
         assert verify(ch, V, 1e-8).passed
 
+    def test_stacked_planes_match_one_plane_chains(self):
+        # All planes are planned and built at once. Each plane's plan must be
+        # plan_scheme's, on the exact grid value, and every stage restricted
+        # to the plane's columns must be build_chain's factor for it.
+        r = rng(59)
+        for draw in range(60):
+            n = int(r.integers(2, 25))
+            angles = r.uniform(0.0, math.pi, n // 2)
+            m = max(1, angles.size // 2)
+            if draw % 3 == 1:  # half turns, exact and within 1e-12..1e-4
+                angles[:m] = math.pi - r.integers(0, 2, m) * 10.0 ** r.uniform(-12.0, -4.0, m)
+            elif draw % 3 == 2:  # tiny angles, 1e-12..1e-4
+                angles[:m] = 10.0 ** r.uniform(-12.0, -4.0, m)
+            V = rotation_with_angles(r, n, angles)
+            chain = factor_orthogonal(V)
+            decomp = block_diagonalize(V)
+            theta, rows = _planes(decomp)
+            if not theta.size:
+                assert len(chain.factors) == 1
+                continue
+            lam, tilt = _plan(theta, 5, 1000.0)
+            assert len(chain.factors) == 5
+            for p, t in enumerate(theta):
+                params = plan_scheme(t, 5, 1000.0)
+                assert params.lam == lam[p]
+                j = round(math.log(lam[p]) / math.log(1.25))
+                assert lam[p] == 1.25**j
+                assert params.theta == tilt[p]
+                Up = decomp.U[:, rows[p]]
+                for N, M in zip(chain.factors, build_chain(params).factors):
+                    assert np.max(np.abs(Up.T @ N @ Up - M)) <= 1e-13
+
+    def test_unreachable_names_the_largest_angle(self):
+        # Two planes out of reach at k = 4 within lam 50, one in reach: the
+        # error is plan_scheme's for the largest angle.
+        opts = FactorOptions(k_rotation=4, lam_budget=50.0)
+        V = rotation_with_angles(rng(60), 7, [2.9, math.pi, 0.4])
+        largest = float(np.max(_planes(block_diagonalize(V))[0]))
+        with pytest.raises(TargetUnreachable) as ref:
+            plan_scheme(largest, 4, 50.0)
+        with pytest.raises(TargetUnreachable) as info:
+            factor_orthogonal(V, opts)
+        assert str(info.value) == str(ref.value)
+        assert info.value.max_phi == ref.value.max_phi
+
+    def test_lost_certificate_names_factor_and_lam(self):
+        # At k = 3 an angle 1e-6 short of a quarter turn plans lam near 1e13,
+        # past the SPD certificate: the error is build_chain's for the
+        # largest angle.
+        opts = FactorOptions(k_rotation=3, lam_budget=1e300)
+        V = rotation_with_angles(rng(61), 6, [math.pi / 2.0 - 1e-6, 0.3])
+        largest = float(np.max(_planes(block_diagonalize(V))[0]))
+        params = plan_scheme(largest, 3, 1e300)
+        with pytest.raises(NumericalFailure) as ref:
+            build_chain(params)
+        with pytest.raises(NumericalFailure) as info:
+            factor_orthogonal(V, opts)
+        assert str(info.value) == str(ref.value)
+        assert str(info.value).startswith(
+            f"factor 1 lost SPD certification at lam={params.lam:.6g};"
+        )
+
     def test_rejects_non_orthogonal(self):
         with pytest.raises(NotOrthogonal):
             factor_orthogonal(np.diag([2.0, 0.5]))
@@ -198,6 +271,39 @@ class TestFactorMatrix:
         with np.errstate(over="ignore"):
             ch = factor_matrix(Phi)
             assert verify(ch, Phi, 1e-8).passed
+
+    def test_power_of_two_scale_is_exact(self):
+        # polar iterates on Phi times a power of two, and nothing downstream
+        # depends on the scale: Phi 2^e gives the stretch times 2^e and
+        # bit-identical rotation stages, while every entry stays normal.
+        r = rng(62)
+        for _ in range(10):
+            n = int(r.integers(2, 9))
+            Phi = r.standard_normal((n, n))
+            if np.linalg.det(Phi) < 0:
+                Phi[:, 0] = -Phi[:, 0]
+            base = factor_matrix(Phi).factors
+            for e in (-900, -300, -40, 40, 300, 900):
+                scaled = factor_matrix(np.ldexp(Phi, e)).factors
+                assert len(scaled) == len(base)
+                assert np.array_equal(scaled[0], np.ldexp(base[0], e))
+                for A, B in zip(scaled[1:], base[1:]):
+                    assert np.array_equal(A, B)
+
+    def test_extreme_decimal_scales_verify(self):
+        # det Phi scales as s^n, so no determinant floor can tell these
+        # well-conditioned inputs from singular ones; they all factor.
+        r = rng(63)
+        for _ in range(10):
+            n = int(r.integers(2, 9))
+            Phi = r.standard_normal((n, n))
+            if np.linalg.det(Phi) < 0:
+                Phi[:, 0] = -Phi[:, 0]
+            for e in (100, 150, 200, 300):
+                for scale in (10.0**e, 10.0**-e):
+                    A = Phi * scale
+                    rep = verify(factor_matrix(A), A, 1e-8)
+                    assert rep.passed, (n, scale, rep.residual)
 
     def test_det_telescope(self):
         r = rng(55)

@@ -172,6 +172,14 @@ class TestSqrtLogExp:
             with pytest.raises(NotPositiveDefinite):
                 fn(bad)
 
+    def test_certificate_is_relative(self):
+        # The SPD certificate compares the smallest eigenvalue with the
+        # largest, so a matrix passes or fails it alike at every scale.
+        for scale in (1e-300, 1e-13, 1.0, 1e13, 1e150):
+            assert cond(np.diag([2.0, 1.0]) * scale) == pytest.approx(2.0)
+            with pytest.raises(NotPositiveDefinite):
+                cond(np.diag([1.0, 1e-13]) * scale)
+
 
 class TestExpm:
     def test_skew_2x2_closed_form(self):

@@ -18,6 +18,7 @@ from pdfactor.matfun import SPD_RTOL, expm, spd_sqrt
 from pdfactor.planar import (
     ChainParams,
     FactorChain,
+    _chain_factors,
     build_chain,
     chain_covariances,
     chain_product,
@@ -184,6 +185,18 @@ class TestBuildChain:
         # which the SPD certificate refuses past 1/SPD_RTOL = 1e12.
         with pytest.raises(NumericalFailure):
             build_chain(ChainParams(1e13, 80.0 * DEG, 4))
+
+    def test_lost_certificate_names_first_failing_factor(self):
+        # A quarter turn maps diag(lam, 1/lam) to diag(1/lam, lam), so the
+        # second factor has condition lam^2 while the first has lam. On a
+        # grid of planes the error names the first plane that fails.
+        with pytest.raises(NumericalFailure) as one:
+            build_chain(ChainParams(1e7, math.pi / 2.0, 3))
+        assert str(one.value).startswith("factor 2 lost SPD certification at lam=1e+07;")
+        with pytest.raises(NumericalFailure) as grid:
+            _chain_factors(np.array([4.0, 1e7, 1e13]),
+                           np.array([0.3, math.pi / 2.0, 0.3]), 3)
+        assert str(grid.value) == str(one.value)
 
     def test_lam_1e4_builds_certified(self):
         ch = build_chain(ChainParams(1e4, 80.0 * DEG, 4))
@@ -441,6 +454,14 @@ class TestPlanScheme:
             assert info.value.max_phi == pytest.approx(
                 peak(1.25 ** (j - 1), k), rel=1e-12
             )
+
+    def test_angles_below_the_rounding_of_tan(self):
+        # tan^2(pi/4 + alpha/2) rounds below 1 for alpha under about eps;
+        # lam_min is 1 there, and the plan takes the first grid step.
+        for psi in (1e-300, 1e-17, 1e-16):
+            p = plan_scheme(psi, 5, 1000.0)
+            assert p.lam == 1.25
+            assert abs(net_rotation(build_chain(p)) - psi) <= 1e-15
 
     def test_pi_unreachable_with_four_factors(self):
         with pytest.raises(TargetUnreachable) as info:
