@@ -20,6 +20,7 @@ from .ballantine import (
 )
 from .errors import (
     DimensionMismatch,
+    InputError,
     InvalidInput,
     InvalidParams,
     InvalidStep,
@@ -28,6 +29,7 @@ from .errors import (
     NotARotation,
     NotOrthogonal,
     NotPositiveDefinite,
+    NumericError,
     NumericalFailure,
     PdfactorError,
     SingularInput,
@@ -88,6 +90,8 @@ __all__ = [
     "spectral",
     "transport",
     "PdfactorError",
+    "InputError",
+    "NumericError",
     "InvalidInput",
     "InvalidParams",
     "InvalidStep",

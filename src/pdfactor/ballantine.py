@@ -19,9 +19,10 @@ from .errors import (
     InvalidInput,
     InvalidParams,
     NonPositiveDeterminant,
+    NumericalFailure,
     SingularInput,
 )
-from .matfun import _as_square, _frob, _spd_ok, polar
+from .matfun import SPD_RTOL, _as_square, _frob, _real, _spd_ok, _sym_spd, polar
 from .planar import (
     FactorChain,
     _chain_factors,
@@ -61,8 +62,8 @@ class FactorOptions:
         self.k_rotation, self.lam_budget = _check_scheme(
             self.k_rotation, self.lam_budget, "k_rotation", "lam_budget"
         )
-        self.tol_verify = float(self.tol_verify)
-        if not self.tol_verify > 0.0:
+        self.tol_verify = _real(self.tol_verify, "tol_verify")
+        if self.tol_verify <= 0.0:
             raise InvalidParams("tol_verify must be positive")
 
 
@@ -107,8 +108,8 @@ def factor_rotation2(psi, opts: FactorOptions | None = None) -> FactorChain:
     (the transposed product rotates the other way).
     """
     opts = opts or FactorOptions()
-    psi = float(psi)
-    if not math.isfinite(psi) or not -math.pi < psi <= math.pi:
+    psi = _real(psi, "rotation angle")
+    if not -math.pi < psi <= math.pi:
         raise InvalidParams(f"rotation angle must lie in (-pi, pi], got {psi}")
     if psi == 0.0:
         return FactorChain._trusted([np.eye(2)])
@@ -164,6 +165,16 @@ def factor_matrix(Phi, opts: FactorOptions | None = None) -> FactorChain:
             "always has positive determinant"
         )
     V, S = polar(Phi)
+    # The stretch is a factor of the chain, so it must pass the same SPD
+    # certificate as verify applies; its eigenvalue ratio is that of Phi.
+    # S is exactly symmetric, and LAPACK scales it internally at any scale.
+    smin, smax = np.linalg.eigvalsh(S)[[0, -1]]
+    if not _spd_ok(smax, smin):
+        kappa = smax / smin if smin > 0.0 else math.inf
+        raise NumericalFailure(
+            f"the stretch has condition number {kappa:.3e}, at or past "
+            f"the SPD certificate's limit {1.0 / SPD_RTOL:.0e}"
+        )
     if _frob(V - np.eye(n)) <= 1e-12:
         return FactorChain._trusted([S])
     chain = factor_orthogonal(V, opts)
@@ -186,6 +197,7 @@ def verify(chain, target, tol) -> VerificationReport:
     if not isinstance(chain, FactorChain):
         chain = FactorChain(factors=list(chain))
     target = _as_square(target, "verify target")
+    tol = _real(tol, "tol")
     if target.shape[0] != chain.n:
         raise DimensionMismatch(
             f"chain is {chain.n}x{chain.n}, target {target.shape[0]}x"
@@ -199,34 +211,20 @@ def verify(chain, target, tol) -> VerificationReport:
         raise InvalidInput("verify target is the zero matrix")
     residual = _frob(np.ldexp(chain.product() - target, -e)) / tnorm
 
-    # Every factor is inspected in units of a power of two near its largest
-    # entry when that is 1 or more, for the same reason; below 1 it is not
-    # scaled, so the "1 +" of the symmetry gate keeps its meaning.
-    # Eigenvalues scale exactly with the factor.
-    F = np.stack(chain.factors)
-    ex = np.maximum(0, np.frexp(np.max(np.abs(F), axis=(1, 2)))[1])
-    Fs = np.ldexp(F, -ex[:, None, None])
-    FsT = Fs.transpose(0, 2, 1)
-    scaled_defect = np.linalg.norm(Fs - FsT, axis=(1, 2))
-    d = np.linalg.eigvalsh((Fs + FsT) / 2.0)
-    dmax, dmin = np.ldexp(d[:, -1], ex), np.ldexp(d[:, 0], ex)
-    spd = (
-        scaled_defect <= 1e-12 * (np.ldexp(1.0, -ex) + np.linalg.norm(Fs, axis=(1, 2)))
-    ) & _spd_ok(dmax, dmin)
+    defects, symmetric, dmax, dmin = _sym_spd(np.stack(chain.factors))
     stats = [
         FactorStats(
             symmetry_defect=defect,
             min_eigenvalue=lo,
             condition=hi / lo if lo > 0.0 else math.inf,
         )
-        for defect, hi, lo in zip(
-            np.ldexp(scaled_defect, ex).tolist(), dmax.tolist(), dmin.tolist()
-        )
+        for defect, hi, lo in zip(defects.tolist(), dmax.tolist(), dmin.tolist())
     ]
+    spd = symmetric & _spd_ok(dmax, dmin)
     return VerificationReport(
         residual=residual,
         factors=stats,
         factor_count=len(chain.factors),
-        tol=float(tol),
-        passed=bool(residual <= float(tol) and spd.all()),
+        tol=tol,
+        passed=bool(residual <= tol and spd.all()),
     )

@@ -10,27 +10,16 @@ flags, 2 numerical failure or unreachable target, 3 verification failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from .ballantine import FactorOptions, factor_matrix, verify
-from .errors import (
-    DimensionMismatch,
-    InvalidInput,
-    InvalidParams,
-    InvalidStep,
-    NegativeDeterminant,
-    NonPositiveDeterminant,
-    NotARotation,
-    NotOrthogonal,
-    NotPositiveDefinite,
-    NumericalFailure,
-    SingularInput,
-    TargetUnreachable,
-)
+from .errors import InputError, InvalidInput, NumericError
 from .flowsim import (
     ParticleCloud,
     segments_from_chain,
@@ -38,7 +27,7 @@ from .flowsim import (
     transition_matrix,
     write_trajectory_csv,
 )
-from .matfun import _spd_eig
+from .matfun import _certify_spd, _spd_ok, _sym_spd
 from .planar import ChainParams, FactorChain, phi_sweep
 
 __all__ = [
@@ -51,22 +40,8 @@ __all__ = [
 
 DEG = math.pi / 180.0
 
-_INVALID_ERRORS = (
-    InvalidInput,
-    InvalidParams,
-    InvalidStep,
-    DimensionMismatch,
-    NegativeDeterminant,
-    NonPositiveDeterminant,
-    NotARotation,
-    NotOrthogonal,
-    NotPositiveDefinite,
-    SingularInput,
-)
-_NUMERIC_ERRORS = (NumericalFailure, TargetUnreachable)
 
-
-class _UsageError(Exception):
+class _UsageError(InputError):
     """Bad flags; argparse would normally exit 2, we want exit 1."""
 
 
@@ -75,7 +50,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_json(path):
+def _read_json(path, key) -> tuple:
+    """The JSON object in path, its dimension "n" (an integer >= 1) and
+    its entry key."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -83,13 +60,23 @@ def _read_json(path):
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InvalidInput(f"{path}: expected a JSON object")
-    return doc
+    try:
+        n = int(doc["n"])
+        value = doc[key]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(
+            f"{path}: need a JSON object with integer 'n' and '{key}'"
+        ) from exc
+    if n < 1:
+        raise InvalidInput(f"{path}: n must be >= 1")
+    return doc, n, value
 
 
 def _shape_matrix(flat, n, what):
-    arr = np.asarray(flat, dtype=np.float64)
+    try:
+        arr = np.asarray(flat, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{what}: entries must be numbers ({exc})") from exc
     if arr.ndim != 1 or arr.size != n * n:
         raise InvalidInput(f"{what}: expected {n * n} entries, got {arr.size}")
     if not np.all(np.isfinite(arr)):
@@ -99,14 +86,7 @@ def _shape_matrix(flat, n, what):
 
 def load_matrix(path) -> np.ndarray:
     """Read a JSON matrix file: {"n": dim, "data": flat row-major}."""
-    doc = _read_json(path)
-    try:
-        n = int(doc["n"])
-        data = doc["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"{path}: need integer 'n' and 'data'") from exc
-    if n < 1:
-        raise InvalidInput(f"{path}: n must be >= 1")
+    _, n, data = _read_json(path, "data")
     return _shape_matrix(data, n, path)
 
 
@@ -120,21 +100,20 @@ def save_matrix(path, M) -> None:
 
 def load_chain(path) -> FactorChain:
     """Read a chain file and certify every factor SPD before returning."""
-    doc = _read_json(path)
-    try:
-        n = int(doc["n"])
-        raw = list(doc["factors"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"{path}: need integer 'n' and 'factors'") from exc
-    if n < 1:
-        raise InvalidInput(f"{path}: n must be >= 1")
-    if not raw:
-        raise InvalidInput(f"{path}: empty factor list")
-    factors = []
-    for i, flat in enumerate(raw):
-        M = _shape_matrix(flat, n, f"{path} factor {i}")
-        _spd_eig(M, f"{path} factor {i}")
-        factors.append(M)
+    doc, n, raw = _read_json(path, "factors")
+    if not isinstance(raw, list) or not raw:
+        raise InvalidInput(f"{path}: 'factors' must be a nonempty list")
+    factors = [
+        _shape_matrix(flat, n, f"{path} factor {i}") for i, flat in enumerate(raw)
+    ]
+    defect, symmetric, dmax, dmin = _sym_spd(np.stack(factors))
+    bad = np.flatnonzero(~(symmetric & _spd_ok(dmax, dmin)))
+    if bad.size:
+        i = bad[0]
+        name = f"{path} factor {i}"
+        if not symmetric[i]:
+            raise InvalidInput(f"{name} is not symmetric (defect {defect[i]:.3e})")
+        _certify_spd((dmax[i], dmin[i]), name)
     params = None
     meta = doc.get("meta")
     if isinstance(meta, dict) and {"lambda", "theta_rad", "k"} <= set(meta):
@@ -156,6 +135,20 @@ def save_chain(path, chain: FactorChain) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh)
         fh.write("\n")
+
+
+def _emit(text) -> None:
+    """Write text to stdout. A reader that stops early (``| head``) closes
+    the pipe; that is not an error, and the rest of the text is dropped."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at the null device, so that the interpreter's own
+        # flush at exit finds no broken pipe either.
+        with contextlib.suppress(OSError):  # a stdout with no descriptor
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
 
 
 def _parse_float_list(values, what):
@@ -185,7 +178,7 @@ def cmd_factor(args) -> int:
     report = verify(chain, Phi, args.tol)
     if args.output:
         save_chain(args.output, chain)
-    print(json.dumps(report.as_dict(), indent=2))
+    _emit(json.dumps(report.as_dict(), indent=2) + "\n")
     return 0 if report.passed else 3
 
 
@@ -204,7 +197,7 @@ def cmd_sweep(args) -> int:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _emit(text)
     return 0
 
 
@@ -212,7 +205,7 @@ def cmd_verify(args) -> int:
     chain = load_chain(args.chain)
     target = load_matrix(args.target)
     report = verify(chain, target, args.tol)
-    print(json.dumps(report.as_dict(), indent=2))
+    _emit(json.dumps(report.as_dict(), indent=2) + "\n")
     return 0 if report.passed else 3
 
 
@@ -255,7 +248,7 @@ def cmd_simulate(args) -> int:
     trajectory = simulate(segments, ParticleCloud(positions), dt=args.dt)
     write_trajectory_csv(trajectory, args.out_prefix)
     P = transition_matrix(segments)
-    print(json.dumps({"n": int(P.shape[0]), "data": P.ravel().tolist()}))
+    _emit(json.dumps({"n": int(P.shape[0]), "data": P.ravel().tolist()}) + "\n")
     return 0
 
 
@@ -323,24 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (InputError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _INVALID_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return exc.exit_code
+    except OSError as exc:  # writing an output file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,47 +1,65 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Each derives from exactly
+one of InputError and NumericError, which carry the command-line exit code.
+"""
 
 
 class PdfactorError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidInput(PdfactorError):
+class InputError(PdfactorError):
+    """Input outside the documented domain (exit code 1)."""
+
+    exit_code = 1
+
+
+class NumericError(PdfactorError):
+    """A valid input that could not be computed to tolerance (exit code 2)."""
+
+    exit_code = 2
+
+
+class InvalidInput(InputError):
     """Input is not a finite real square matrix of the expected kind."""
 
 
-class InvalidParams(PdfactorError):
+class InvalidParams(InputError):
     """Scheme or solver parameters are out of range."""
 
 
-class DimensionMismatch(PdfactorError):
+class DimensionMismatch(InputError):
     """Operands have incompatible shapes."""
 
 
-class NotPositiveDefinite(PdfactorError):
+class NotPositiveDefinite(InputError):
     """Symmetric input fails the positive-definiteness certificate."""
 
 
-class SingularInput(PdfactorError):
+class SingularInput(InputError):
     """Matrix is singular to working precision."""
 
 
-class NotOrthogonal(PdfactorError):
+class NotOrthogonal(InputError):
     """Matrix is not orthogonal to the required tolerance."""
 
 
-class NotARotation(PdfactorError):
-    """Orthogonal matrix has determinant -1, not +1."""
+class NotARotation(InputError):
+    """Chain product is not a rotation: not orthogonal, or det not +1."""
 
 
-class NegativeDeterminant(PdfactorError):
-    """Determinant is negative; no SPD factorization exists."""
+class NegativeDeterminant(InputError):
+    """Orthogonal matrix has determinant other than +1 (for example -1)."""
 
 
-class NonPositiveDeterminant(PdfactorError):
+class NonPositiveDeterminant(InputError):
     """Determinant is zero or negative."""
 
 
-class TargetUnreachable(PdfactorError):
+class InvalidStep(InputError):
+    """Integration step size is not a positive finite number."""
+
+
+class TargetUnreachable(NumericError):
     """Requested net rotation exceeds what the scheme can produce.
 
     Carries the largest achievable angle in ``max_phi`` (radians) when known.
@@ -52,9 +70,5 @@ class TargetUnreachable(PdfactorError):
         self.max_phi = max_phi
 
 
-class NumericalFailure(PdfactorError):
+class NumericalFailure(NumericError):
     """An iteration failed to converge or a result lost too much accuracy."""
-
-
-class InvalidStep(PdfactorError):
-    """Integration step size is not a positive finite number."""

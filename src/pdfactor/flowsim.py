@@ -22,7 +22,7 @@ from .errors import (
     InvalidParams,
     InvalidStep,
 )
-from .matfun import _require_symmetric, expm, spd_log
+from .matfun import _real, _require_symmetric, expm, spd_log
 from .planar import FactorChain
 
 __all__ = [
@@ -40,6 +40,13 @@ __all__ = [
 _REMAINDER_TOL = 1e-12
 
 
+def _duration(value) -> float:
+    d = _real(value, "duration")
+    if d <= 0.0:
+        raise InvalidParams(f"duration must be positive, got {d}")
+    return d
+
+
 @dataclass
 class FlowSegment:
     """Constant symmetric generator driving x' = A x for a fixed duration."""
@@ -48,16 +55,8 @@ class FlowSegment:
     duration: float = 1.0
 
     def __post_init__(self):
-        A = _require_symmetric(self.A, "flow generator")
-        self.A = A
-        try:
-            self.duration = float(self.duration)
-        except (TypeError, ValueError) as exc:
-            raise InvalidParams(f"non-numeric duration: {exc}") from exc
-        if not math.isfinite(self.duration) or self.duration <= 0.0:
-            raise InvalidParams(
-                f"duration must be positive, got {self.duration}"
-            )
+        self.A = _require_symmetric(self.A, "flow generator")
+        self.duration = _duration(self.duration)
 
     @property
     def n(self) -> int:
@@ -80,12 +79,7 @@ class ParticleCloud:
         if not np.all(np.isfinite(P)):
             raise InvalidInput("particle coordinates must be finite")
         self.positions = P.copy()
-        try:
-            self.time = float(self.time)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"non-numeric time stamp: {exc}") from exc
-        if not math.isfinite(self.time):
-            raise InvalidInput("time stamp must be finite")
+        self.time = _real(self.time, "time stamp", InvalidInput)
 
     @property
     def n(self) -> int:
@@ -148,24 +142,24 @@ def segments_from_chain(chain, durations=None) -> list:
     if not isinstance(chain, FactorChain):
         chain = FactorChain(list(chain))
     k = len(chain.factors)
-    if durations is None:
-        durs = [1.0] * k
-    else:
-        durs = list(durations)
-        if len(durs) != k:
-            raise DimensionMismatch(
-                f"{len(durs)} durations for {k} factors"
-            )
-    segments = []
-    for M, d in zip(chain.factors, durs):
-        try:
-            d = float(d)
-        except (TypeError, ValueError) as exc:
-            raise InvalidParams(f"non-numeric duration: {exc}") from exc
-        if not math.isfinite(d) or d <= 0.0:
-            raise InvalidParams(f"duration must be positive, got {d}")
-        segments.append(FlowSegment(spd_log(M) / d, d))
-    return segments
+    durs = [1.0] * k if durations is None else list(durations)
+    if len(durs) != k:
+        raise DimensionMismatch(f"{len(durs)} durations for {k} factors")
+    durs = [_duration(d) for d in durs]
+    return [FlowSegment(spd_log(M) / d, d) for M, d in zip(chain.factors, durs)]
+
+
+def _segments(segments) -> list:
+    """The segments as a list: nonempty, FlowSegments of one size."""
+    segs = list(segments)
+    if not segs:
+        raise InvalidInput("no segments")
+    for seg in segs:
+        if not isinstance(seg, FlowSegment):
+            raise InvalidInput("segments must be FlowSegment instances")
+        if seg.n != segs[0].n:
+            raise DimensionMismatch("segment generators differ in size")
+    return segs
 
 
 def _lyapunov_rk4(Sigma, A, h):
@@ -190,27 +184,16 @@ def simulate(segments, cloud, dt=1e-3) -> Trajectory:
     covariance is integrated with RK4 instead, which makes segment ends a
     genuine accuracy check rather than a restatement of the same formula.
     """
-    segs = list(segments)
-    if not segs:
-        raise InvalidInput("no segments to simulate")
-    for seg in segs:
-        if not isinstance(seg, FlowSegment):
-            raise InvalidInput("segments must be FlowSegment instances")
+    segs = _segments(segments)
     n = segs[0].n
-    for seg in segs:
-        if seg.n != n:
-            raise DimensionMismatch("segment generators differ in size")
     if not isinstance(cloud, ParticleCloud):
         cloud = ParticleCloud(cloud)
     if cloud.n != n:
         raise DimensionMismatch(
             f"cloud dimension {cloud.n} does not match generators ({n})"
         )
-    try:
-        dt = float(dt)
-    except (TypeError, ValueError) as exc:
-        raise InvalidStep(f"non-numeric dt: {exc}") from exc
-    if not math.isfinite(dt) or dt <= 0.0:
+    dt = _real(dt, "dt", InvalidStep)
+    if dt <= 0.0:
         raise InvalidStep(f"dt must be positive, got {dt}")
     shortest = min(seg.duration for seg in segs)
     if dt > shortest:
@@ -261,15 +244,9 @@ def simulate(segments, cloud, dt=1e-3) -> Trajectory:
 def transition_matrix(segments) -> np.ndarray:
     """Endpoint map of the whole protocol: product of segment exponentials,
     applied right to left."""
-    segs = list(segments)
-    if not segs:
-        raise InvalidInput("no segments")
+    segs = _segments(segments)
     P = np.eye(segs[0].n)
     for seg in segs:
-        if not isinstance(seg, FlowSegment):
-            raise InvalidInput("segments must be FlowSegment instances")
-        if seg.n != segs[0].n:
-            raise DimensionMismatch("segment generators differ in size")
         P = expm(seg.A * seg.duration) @ P
     return P
 
@@ -286,24 +263,24 @@ def write_trajectory_csv(trajectory, prefix) -> tuple:
     T, N, n = trajectory.positions.shape
     traj_path = f"{prefix}_trajectory.csv"
     cov_path = f"{prefix}_covariance.csv"
-    with open(traj_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,particle_id," + ",".join(f"x{i + 1}" for i in range(n)))
-        fh.write("\n")
-        for it in range(T):
-            t = trajectory.times[it]
-            for p in range(N):
-                coords = ",".join(
-                    "%.17g" % v for v in trajectory.positions[it, p]
-                )
-                fh.write("%.17g,%d,%s\n" % (t, p, coords))
-    with open(cov_path, "w", encoding="utf-8", newline="\n") as fh:
-        head = ",".join(
+    t, P, C = trajectory.times, trajectory.positions, trajectory.covariances
+    ids = np.arange(N)
+    fmt = ["%.17g", "%d"] + ["%.17g"] * n
+    # One np.savetxt call per block of about 4096 rows: the per-call cost
+    # vanishes, and the block is too small to raise peak memory.
+    step = max(1, 4096 // N)
+    with open(traj_path, "w", encoding="utf-8", newline="\n") as ft, \
+            open(cov_path, "w", encoding="utf-8", newline="\n") as fc:
+        ft.write("t,particle_id," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
+        fc.write("t," + ",".join(
             f"sigma_{i + 1}{j + 1}" for i in range(n) for j in range(n)
-        )
-        fh.write("t," + head + "\n")
-        for it in range(T):
-            entries = ",".join(
-                "%.17g" % v for v in trajectory.covariances[it].ravel()
+        ) + "\n")
+        for b in range(0, T, step):
+            tb, Pb, Cb = t[b:b + step], P[b:b + step], C[b:b + step]
+            rows = np.column_stack(
+                (np.repeat(tb, N), np.tile(ids, tb.size), Pb.reshape(-1, n))
             )
-            fh.write("%.17g,%s\n" % (trajectory.times[it], entries))
+            np.savetxt(ft, rows, fmt=fmt, delimiter=",")
+            rows = np.column_stack((tb, Cb.reshape(tb.size, n * n)))
+            np.savetxt(fc, rows, fmt="%.17g", delimiter=",")
     return traj_path, cov_path

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     InvalidInput,
+    InvalidParams,
     NotPositiveDefinite,
     NumericalFailure,
     SingularInput,
@@ -65,14 +66,46 @@ def _as_square(A, name="matrix") -> np.ndarray:
     return A
 
 
+def _real(value, name, exc=InvalidParams) -> float:
+    """A scalar parameter as a finite float; raises exc naming it otherwise.
+    Callers test the range themselves."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise exc(f"{name} must be a real number, got {value!r}") from err
+    if not math.isfinite(x):
+        raise exc(f"{name} must be finite, got {x}")
+    return x
+
+
 def _frob(A) -> float:
     return float(np.linalg.norm(A, "fro"))
 
 
+def _sym_spd(F) -> tuple:
+    """Symmetry and SPD checks of a stack F (..., n, n), safe at every scale:
+    each matrix's Frobenius symmetry defect, whether it is symmetric to
+    roundoff (defect <= SYM_RTOL (1 + ||F||_F)), and the extreme eigenvalues
+    dmax, dmin of its symmetric part. The SPD certificate is
+    ``symmetric & _spd_ok(dmax, dmin)``. A matrix with an entry of 1 or more
+    is measured in units of a power of two near its largest, so the squares
+    in the norms cannot overflow; below 1 the "1 +" keeps its meaning.
+    """
+    ex = np.maximum(0, np.frexp(np.max(np.abs(F), axis=(-2, -1)))[1])
+    Fs = np.ldexp(F, -ex[..., None, None])
+    FsT = np.swapaxes(Fs, -1, -2)
+    defect = np.linalg.norm(Fs - FsT, axis=(-2, -1))
+    symmetric = defect <= SYM_RTOL * (
+        np.ldexp(1.0, -ex) + np.linalg.norm(Fs, axis=(-2, -1))
+    )
+    d = np.ldexp(np.linalg.eigvalsh((Fs + FsT) / 2.0), ex[..., None])
+    return np.ldexp(defect, ex), symmetric, d[..., -1], d[..., 0]
+
+
 def _require_symmetric(S, name="matrix") -> np.ndarray:
     S = _as_square(S, name)
-    defect = _frob(S - S.T)
-    if defect > SYM_RTOL * (1.0 + _frob(S)):
+    defect, symmetric, _, _ = _sym_spd(S)
+    if not symmetric:
         raise InvalidInput(f"{name} is not symmetric (defect {defect:.3e})")
     # Hand the eigensolver the exactly symmetric part, not just one triangle.
     return (S + S.T) / 2.0

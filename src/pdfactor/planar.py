@@ -38,6 +38,7 @@ from .matfun import (
     _as_square,
     _certify_spd,
     _frob,
+    _real,
     _require_symmetric,
     _spd_ok,
     spd_log,
@@ -78,16 +79,11 @@ def _check_scheme(k, lam, k_name="k", lam_name="lam") -> tuple:
 
     Returns them as (int, float); raises InvalidParams otherwise.
     """
-    try:
-        kf = float(k)
-        lamf = float(lam)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParams(
-            f"non-numeric {k_name} or {lam_name}: {exc}"
-        ) from exc
+    kf = _real(k, k_name)
+    lamf = _real(lam, lam_name)
     if not kf.is_integer() or kf < 3:
         raise InvalidParams(f"{k_name} must be an integer >= 3, got {k}")
-    if not math.isfinite(lamf) or lamf < 1.0:
+    if lamf < 1.0:
         raise InvalidParams(f"{lam_name} must be >= 1, got {lam}")
     return int(kf), lamf
 
@@ -102,12 +98,7 @@ class ChainParams:
 
     def __post_init__(self):
         self.k, self.lam = _check_scheme(self.k, self.lam)
-        try:
-            self.theta = float(self.theta)
-        except (TypeError, ValueError) as exc:
-            raise InvalidParams(f"non-numeric theta: {exc}") from exc
-        if not math.isfinite(self.theta):
-            raise InvalidParams("theta must be finite")
+        self.theta = _real(self.theta, "theta")
 
 
 @dataclass
@@ -153,9 +144,7 @@ class SweepTable:
 
 def rotation2(theta) -> np.ndarray:
     """The 2x2 rotation [[cos t, sin t], [-sin t, cos t]]."""
-    t = float(theta)
-    if not math.isfinite(t):
-        raise InvalidParams("rotation angle must be finite")
+    t = _real(theta, "rotation angle")
     c, s = math.cos(t), math.sin(t)
     return np.array([[c, s], [-s, c]])
 
@@ -342,11 +331,12 @@ def phi_sweep(lam, k, theta_max, steps) -> SweepTable:
     read by interpolation.
     """
     k, lam = _check_scheme(k, lam)
-    theta_max = float(theta_max)
-    if not math.isfinite(theta_max) or theta_max <= 0.0:
+    theta_max = _real(theta_max, "theta_max")
+    if theta_max <= 0.0:
         raise InvalidParams(f"theta_max must be positive, got {theta_max}")
-    if not float(steps).is_integer() or steps < 2:
-        raise InvalidParams(f"steps must be an integer >= 2, got {steps}")
+    steps = _real(steps, "steps")
+    if not steps.is_integer() or steps < 2:
+        raise InvalidParams(f"steps must be an integer >= 2, got {steps:g}")
     steps = int(steps)
 
     grid = np.linspace(0.0, theta_max, steps)
@@ -371,8 +361,8 @@ def solve_theta(lam, k, psi) -> float:
     (k-2) atan((1-c) / (2 sqrt(c))) in ``max_phi``, when psi exceeds it.
     """
     k, lam = _check_scheme(k, lam)
-    psi = float(psi)
-    if not math.isfinite(psi) or psi < 0.0:
+    psi = _real(psi, "target angle")
+    if psi < 0.0:
         raise InvalidParams(f"target angle must be >= 0, got {psi}")
     if psi == 0.0:
         return 0.0
@@ -436,8 +426,8 @@ def plan_scheme(psi, k, lam_budget) -> ChainParams:
     lam_budget. This is the one-angle case of the plans factor_orthogonal
     makes for all planes at once.
     """
-    psi = float(psi)
-    if not math.isfinite(psi) or not 0.0 <= psi <= math.pi:
+    psi = _real(psi, "target angle")
+    if not 0.0 <= psi <= math.pi:
         raise InvalidParams(f"target angle must lie in [0, pi], got {psi}")
     k, budget = _check_scheme(k, lam_budget, lam_name="lam budget")
     if psi == 0.0:
@@ -460,13 +450,12 @@ def gradient_generator(Sigma0, theta, t_fn) -> np.ndarray:
     Raises InvalidInput if Sigma0 is not symmetric, NotPositiveDefinite if
     it fails the SPD certificate.
     """
-    S0 = _as_square(Sigma0, "gradient_generator covariance")
+    S0 = _require_symmetric(Sigma0, "gradient_generator covariance")
     if S0.shape != (2, 2):
         raise DimensionMismatch("gradient generator is defined for 2x2 input")
-    t_fn = float(t_fn)
-    if not math.isfinite(t_fn) or t_fn <= 0.0:
+    t_fn = _real(t_fn, "t_fn")
+    if t_fn <= 0.0:
         raise InvalidParams(f"t_fn must be positive, got {t_fn}")
-    S0 = _require_symmetric(S0, "gradient_generator covariance")
     dmax, dmin = _eig2(S0[_UPPER])
     _certify_spd((dmax, dmin), "gradient_generator covariance")
     U = rotation2(theta)

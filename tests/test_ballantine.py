@@ -248,10 +248,10 @@ class TestFactorMatrix:
 
     def test_ill_conditioned_inputs(self):
         # Phi = U diag(logspace) W^T with cond 1e2..1e10. polar works on Phi
-        # itself, so these factor within tol. At cond 1e12 factor_matrix
-        # still fails verify: polar is accurate there, but the stretch S
-        # has eigenvalue ratio 1e12 and meets the SPD certificate's floor
-        # (SPD_RTOL = 1e-12).
+        # itself, so these factor within tol. From cond 1e12 on the stretch
+        # S has an eigenvalue ratio at the SPD certificate's limit
+        # (1 / SPD_RTOL), and factor_matrix raises NumericalFailure; see
+        # test_condition_sweep_verifies_or_fails_numerically.
         r = rng(56)
         for _ in range(30):
             n = int(r.integers(2, 17))
@@ -260,6 +260,36 @@ class TestFactorMatrix:
             Phi = (U * np.logspace(0.0, -math.log10(c), n)) @ W.T
             ch = factor_matrix(Phi)
             assert verify(ch, Phi, 1e-8).passed
+
+    @pytest.mark.parametrize("kappa", [1e12, 1e13], ids=["1e12", "1e13"])
+    def test_stretch_past_certificate_fails_numerically(self, kappa):
+        # The product is right, but a chain holding this stretch would fail
+        # its own verify; the error names the condition number and limit.
+        root = math.sqrt(kappa)
+        Phi = np.diag([root, 1.0 / root]) @ rotation2(math.pi / 2)
+        with pytest.raises(NumericalFailure, match=r"condition number .*limit 1e\+12"):
+            factor_matrix(Phi)
+
+    def test_condition_sweep_verifies_or_fails_numerically(self):
+        # Every input either factors within tol or raises NumericalFailure;
+        # below the certificate's limit 1e12 it always factors.
+        r = rng(64)
+        outcomes = set()
+        for e in np.linspace(2.2, 13.8, 30):
+            n = int(r.integers(2, 9))
+            c = 10.0 ** (e + r.uniform(-0.2, 0.2))
+            U, W = random_rotation(r, n), random_rotation(r, n)
+            Phi = (U * np.logspace(0.0, -math.log10(c), n)) @ W.T
+            try:
+                ch = factor_matrix(Phi)
+            except NumericalFailure:
+                assert c > 0.99e12, (n, c)
+                outcomes.add("failed")
+                continue
+            rep = verify(ch, Phi, 1e-8)
+            assert rep.passed, (n, c, rep.residual)
+            outcomes.add("passed")
+        assert outcomes == {"passed", "failed"}
 
     def test_huge_entries(self):
         # det(Phi) and ||Phi||_F^2 overflow at this scale; slogdet, the

@@ -1,12 +1,16 @@
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from pdfactor import cli, errors
 from pdfactor.cli import load_chain, main, save_chain, save_matrix
+from pdfactor.errors import InvalidInput, NotPositiveDefinite
 
 from _helpers import rng
 
@@ -93,6 +97,44 @@ class TestFactorCommand:
         capsys.readouterr()
         assert rc == 1
 
+    @pytest.mark.parametrize("doc", [
+        {"n": 2, "data": ["a", 0.0, 0.0, 1.0]},
+        {"n": 2, "data": [[1.0, 2.0], [3.0]]},
+        {"n": math.inf, "data": [1.0]},
+    ], ids=["string_entry", "ragged_rows", "infinite_n"])
+    def test_malformed_data(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["factor", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("tol, code", [("1e-8", 0), ("1e-300", 3)],
+                             ids=["passes", "fails_verify"])
+    def test_closed_stdout_keeps_exit_code(self, tmp_path, monkeypatch,
+                                           capsys, tol, code):
+        # A reader that stops early (| head) closes the pipe: no error is
+        # printed, the chain file is written, and the command's own code
+        # comes back.
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        Phi = rng(71).standard_normal((3, 3))
+        if np.linalg.det(Phi) < 0:
+            Phi[:, 0] = -Phi[:, 0]
+        target = write_matrix(tmp_path / "phi.json", Phi)
+        out = tmp_path / "chain.json"
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        rc = main(["factor", target, "--tol", tol, "--output", str(out)])
+        monkeypatch.undo()
+        assert rc == code
+        assert capsys.readouterr().err == ""
+        assert len(load_chain(str(out)).factors) >= 1
+
     def test_huge_entries_raise_no_warning(self, tmp_path):
         # Norms of factors and stretches with entries near 1e200 must not
         # overflow; with warnings as errors any overflow would exit 1.
@@ -156,6 +198,18 @@ class TestChainFileFormat:
         assert json.loads(out.read_text())["meta"]["theta_rad"] == (
             1.2270000000000001
         )
+
+    @pytest.mark.parametrize("bad, error, what", [
+        ([1.0, 2.0, 0.0, 1.0], InvalidInput, "not symmetric"),
+        ([1e300, 2e300, 0.0, 1e300], InvalidInput, "not symmetric"),
+        ([1.0, 0.0, 0.0, -1.0], NotPositiveDefinite, "not positive definite"),
+    ], ids=["asymmetric", "asymmetric_1e300", "indefinite"])
+    def test_load_names_first_failing_factor(self, tmp_path, bad, error, what):
+        path = write_chain(
+            tmp_path / "bad.json", [[2.0, 0.0, 0.0, 0.5], bad, [1.0, 2.0, 0.0, 1.0]]
+        )
+        with pytest.raises(error, match=f"factor 1 is {what}"):
+            load_chain(path)
 
     def test_non_spd_factor_rejected_on_load(self, tmp_path, capsys):
         chain = write_chain(
@@ -370,6 +424,29 @@ class TestSimulateCommand:
         assert rc == 1
 
 
+class TestErrorMapping:
+    NUMERIC = {"NumericalFailure", "TargetUnreachable"}
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.PdfactorError)
+        and cls not in (errors.PdfactorError, errors.InputError, errors.NumericError)
+    ))
+    def test_exit_code_follows_base(self, monkeypatch, capsys, name):
+        cls = getattr(errors, name)
+        expected = errors.NumericError if name in self.NUMERIC else errors.InputError
+        bases = (errors.InputError, errors.NumericError)
+        assert [b for b in bases if issubclass(cls, b)] == [expected]
+
+        def fail(args):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_sweep", fail)
+        rc = main(["sweep", "--lambda", "2"])
+        assert rc == expected.exit_code == (2 if name in self.NUMERIC else 1)
+        assert capsys.readouterr().err == "error: boom\n"
+
+
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
@@ -380,6 +457,26 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "theta_deg,lambda,phi_deg"
+
+    def test_reader_closing_pipe_early(self, tmp_path):
+        # The reader closes the pipe before the command writes. With stdout
+        # buffered, the interpreter's own flush at exit meets the broken
+        # pipe too; neither may print an error or change the exit code.
+        target = write_matrix(tmp_path / "m.json", -np.eye(2))
+        out = tmp_path / "chain.json"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pdfactor", "factor", target, "--output", str(out)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+        assert len(load_chain(str(out)).factors) == 5
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,3 +333,44 @@ class TestCsvExport:
             cov_back[:, 1:].reshape(traj.covariances.shape),
             traj.covariances,
         )
+
+    @pytest.mark.parametrize("T, N, n", [(700, 7, 3), (3, 4100, 2)],
+                             ids=["blocks_of_steps", "particles_past_block"])
+    def test_bytes_match_per_row_reference(self, tmp_path, T, N, n):
+        # The writer formats blocks of rows through np.savetxt; this per-row
+        # writer is the reference, and the two files must have the same
+        # sha256. The shapes cross block boundaries, and one has more
+        # particles than a block has rows.
+        def reference(traj, prefix):
+            opts = {"encoding": "utf-8", "newline": "\n"}
+            with open(f"{prefix}_trajectory.csv", "w", **opts) as fh:
+                fh.write("t,particle_id,")
+                fh.write(",".join(f"x{i + 1}" for i in range(n)) + "\n")
+                for it in range(T):
+                    for p in range(N):
+                        coords = ",".join("%.17g" % v for v in traj.positions[it, p])
+                        fh.write("%.17g,%d,%s\n" % (traj.times[it], p, coords))
+            with open(f"{prefix}_covariance.csv", "w", **opts) as fh:
+                fh.write("t,")
+                fh.write(",".join(
+                    f"sigma_{i + 1}{j + 1}" for i in range(n) for j in range(n)
+                ) + "\n")
+                for it in range(T):
+                    entries = ",".join("%.17g" % v for v in traj.covariances[it].ravel())
+                    fh.write("%.17g,%s\n" % (traj.times[it], entries))
+
+        r = np.random.default_rng(72)
+        # Values over many decades, with exact zeros and integers, exercise
+        # every branch of %.17g.
+        P = r.standard_normal((T, N, n)) * 10.0 ** r.integers(-30, 30, (T, N, n))
+        P[0] = 0.0
+        P[1] = np.round(P[1] * 1e-30)
+        traj = Trajectory(
+            np.cumsum(r.uniform(1e-3, 1.0, T)), P, r.standard_normal((T, n, n))
+        )
+        new = write_trajectory_csv(traj, str(tmp_path / "new"))
+        reference(traj, str(tmp_path / "ref"))
+        for path, kind in zip(new, ("trajectory", "covariance")):
+            ref = tmp_path / f"ref_{kind}.csv"
+            digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            assert digest == hashlib.sha256(ref.read_bytes()).hexdigest()

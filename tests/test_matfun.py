@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,15 @@ class TestSymEig:
         with pytest.raises(InvalidInput):
             sym_eig([[1.0, 2.0], [0.0, 1.0]])
 
+    def test_rejects_asymmetric_at_extreme_scale(self):
+        # The symmetry defect is measured in units of a power of two near
+        # the largest entry, so its norm cannot overflow and let any
+        # matrix through as symmetric.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput):
+                sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]) * 1e300)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidInput):
             sym_eig(np.ones((2, 3)))
@@ -175,7 +185,7 @@ class TestSqrtLogExp:
     def test_certificate_is_relative(self):
         # The SPD certificate compares the smallest eigenvalue with the
         # largest, so a matrix passes or fails it alike at every scale.
-        for scale in (1e-300, 1e-13, 1.0, 1e13, 1e150):
+        for scale in (1e-300, 1e-13, 1.0, 1e13, 1e150, 1e300):
             assert cond(np.diag([2.0, 1.0]) * scale) == pytest.approx(2.0)
             with pytest.raises(NotPositiveDefinite):
                 cond(np.diag([1.0, 1e-13]) * scale)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdfactor.ballantine import FactorOptions
+from pdfactor.ballantine import FactorOptions, factor_rotation2, verify
 from pdfactor.errors import (
     DimensionMismatch,
     InvalidInput,
     InvalidParams,
+    InvalidStep,
     NotARotation,
     NotPositiveDefinite,
     NumericalFailure,
@@ -29,6 +30,7 @@ from pdfactor.planar import (
     rotation2,
     solve_theta,
 )
+from pdfactor.flowsim import FlowSegment, ParticleCloud, segments_from_chain, simulate
 from pdfactor.transport import ot_map, ot_residual
 
 from _helpers import chain_angle_oracle, rng
@@ -92,6 +94,37 @@ def test_every_entry_point_validates_k_and_lam_alike(k, lam):
     ]
     for call in calls:
         with pytest.raises(InvalidParams):
+            call()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [None, "x", 1j, 10**400, math.nan, math.inf],
+    ids=["none", "str", "complex", "huge_int", "nan", "inf"],
+)
+def test_every_scalar_parameter_rejects_non_numbers(value):
+    # One validator turns each scalar into a finite float, so a value that
+    # is not one raises the package's own error, not a bare TypeError.
+    I2 = np.eye(2)
+    calls = [
+        (lambda: ChainParams(2.0, value, 3), InvalidParams),
+        (lambda: rotation2(value), InvalidParams),
+        (lambda: phi_sweep(2.0, 3, value, 10), InvalidParams),
+        (lambda: phi_sweep(2.0, 3, 1.0, value), InvalidParams),
+        (lambda: solve_theta(1.25, 5, value), InvalidParams),
+        (lambda: plan_scheme(value, 5, 100.0), InvalidParams),
+        (lambda: gradient_generator(I2, 0.5, value), InvalidParams),
+        (lambda: factor_rotation2(value), InvalidParams),
+        (lambda: FactorOptions(tol_verify=value), InvalidParams),
+        (lambda: verify(FactorChain([I2]), I2, value), InvalidParams),
+        (lambda: FlowSegment(np.zeros((2, 2)), value), InvalidParams),
+        (lambda: segments_from_chain(FactorChain([I2]), [value]), InvalidParams),
+        (lambda: simulate([FlowSegment(np.zeros((2, 2)))], ParticleCloud(I2), dt=value),
+         InvalidStep),
+        (lambda: ParticleCloud(I2, time=value), InvalidInput),
+    ]
+    for call, error in calls:
+        with pytest.raises(error):
             call()
 
 
