@@ -51,7 +51,7 @@ class FactorOptions:
     k_rotation is the factor count per rotation stage (5 covers every
     angle including half turns; more factors allow smaller lam), lam_budget
     caps the condition number of any planned scheme, tol_verify is the
-    residual gate used by the end-to-end entry points.
+    residual gate that ``pdfactor factor`` verifies its chain against.
     """
 
     k_rotation: int = 5
@@ -65,6 +65,16 @@ class FactorOptions:
         self.tol_verify = _real(self.tol_verify, "tol_verify")
         if self.tol_verify <= 0.0:
             raise InvalidParams("tol_verify must be positive")
+
+
+def _options(opts) -> FactorOptions:
+    """opts, or the defaults when it is None; InvalidParams for anything
+    that is not a FactorOptions."""
+    if opts is None:
+        return FactorOptions()
+    if isinstance(opts, FactorOptions):
+        return opts
+    raise InvalidParams(f"expected FactorOptions, got {type(opts).__name__}")
 
 
 @dataclass
@@ -107,7 +117,7 @@ def factor_rotation2(psi, opts: FactorOptions | None = None) -> FactorChain:
     Negative angles reuse the positive-angle factors in reversed order
     (the transposed product rotates the other way).
     """
-    opts = opts or FactorOptions()
+    opts = _options(opts)
     psi = _real(psi, "rotation angle")
     if not -math.pi < psi <= math.pi:
         raise InvalidParams(f"rotation angle must lie in (-pi, pi], got {psi}")
@@ -132,7 +142,7 @@ def factor_orthogonal(V, opts: FactorOptions | None = None) -> FactorChain:
     for inputs outside SO(n), TargetUnreachable or NumericalFailure (from
     the plans and chains) for the largest angle that fails.
     """
-    opts = opts or FactorOptions()
+    opts = _options(opts)
     decomp = block_diagonalize(V)
     theta, rows = _planes(decomp)
     if not theta.size:
@@ -151,7 +161,7 @@ def factor_matrix(Phi, opts: FactorOptions | None = None) -> FactorChain:
     the chain of rotation stages for V. Pure stretches collapse to the
     single factor [S]; pure rotations drop the near-identity S.
     """
-    opts = opts or FactorOptions()
+    opts = _options(opts)
     Phi = _as_square(Phi, "factor_matrix input")
     n = Phi.shape[0]
     # slogdet, unlike det, cannot overflow or underflow at any scale; a

@@ -27,7 +27,7 @@ from .flowsim import (
     transition_matrix,
     write_trajectory_csv,
 )
-from .matfun import _certify_spd, _spd_ok, _sym_spd
+from .matfun import _certify_spd, _floats, _spd_ok, _sym_spd
 from .planar import ChainParams, FactorChain, phi_sweep
 
 __all__ = [
@@ -61,22 +61,19 @@ def _read_json(path, key) -> tuple:
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
     try:
-        n = int(doc["n"])
-        value = doc[key]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n, value = doc["n"], doc[key]
+    except (KeyError, TypeError) as exc:
         raise InvalidInput(
             f"{path}: need a JSON object with integer 'n' and '{key}'"
         ) from exc
-    if n < 1:
-        raise InvalidInput(f"{path}: n must be >= 1")
+    # Only a JSON integer is a dimension; 2.7, "2" and true are not.
+    if type(n) is not int or n < 1:
+        raise InvalidInput(f"{path}: n must be an integer >= 1, got {n!r}")
     return doc, n, value
 
 
 def _shape_matrix(flat, n, what):
-    try:
-        arr = np.asarray(flat, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{what}: entries must be numbers ({exc})") from exc
+    arr = _floats(flat, f"{what}: entries", copy=None)
     if arr.ndim != 1 or arr.size != n * n:
         raise InvalidInput(f"{what}: expected {n * n} entries, got {arr.size}")
     if not np.all(np.isfinite(arr)):
@@ -175,7 +172,7 @@ def cmd_factor(args) -> int:
         tol_verify=args.tol,
     )
     chain = factor_matrix(Phi, opts)
-    report = verify(chain, Phi, args.tol)
+    report = verify(chain, Phi, opts.tol_verify)
     if args.output:
         save_chain(args.output, chain)
     _emit(json.dumps(report.as_dict(), indent=2) + "\n")

@@ -22,7 +22,7 @@ from .errors import (
     InvalidParams,
     InvalidStep,
 )
-from .matfun import _real, _require_symmetric, expm, spd_log
+from .matfun import _floats, _real, _require_symmetric, expm, spd_log
 from .planar import FactorChain
 
 __all__ = [
@@ -71,14 +71,14 @@ class ParticleCloud:
     time: float = 0.0
 
     def __post_init__(self):
-        P = np.asarray(self.positions, dtype=np.float64)
+        P = _floats(self.positions, "positions")
         if P.ndim == 1:
             P = P[np.newaxis, :]
         if P.ndim != 2 or P.shape[0] < 1 or P.shape[1] < 1:
             raise InvalidInput("positions must form an (N, n) array")
         if not np.all(np.isfinite(P)):
             raise InvalidInput("particle coordinates must be finite")
-        self.positions = P.copy()
+        self.positions = P
         self.time = _real(self.time, "time stamp", InvalidInput)
 
     @property
@@ -108,13 +108,13 @@ class Trajectory:
     covariances: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
+        t = _floats(self.times, "times", copy=None)
         if t.ndim != 1 or t.size == 0:
             raise InvalidInput("times must be a nonempty 1-D array")
         if np.any(np.diff(t) <= 0.0):
             raise InvalidInput("sample times must be strictly increasing")
-        P = np.asarray(self.positions, dtype=np.float64)
-        C = np.asarray(self.covariances, dtype=np.float64)
+        P = _floats(self.positions, "positions", copy=None)
+        C = _floats(self.covariances, "covariances", copy=None)
         if P.ndim != 3 or P.shape[0] != t.size:
             raise DimensionMismatch(
                 "positions must be (T, N, n) matching the sample count"
@@ -212,26 +212,16 @@ def simulate(segments, cloud, dt=1e-3) -> Trajectory:
         A = seg.A
         delta = seg.duration
         m = int(math.floor(delta / dt + 1e-9))
+        steps = [dt] * m
         rem = delta - m * dt
-        if rem <= _REMAINDER_TOL * max(1.0, delta):
-            rem = 0.0
-        E = expm(A * dt)
-        for j in range(1, m + 1):
-            X = X @ E.T
-            Sigma = _lyapunov_rk4(Sigma, A, dt)
-            if j == m and rem == 0.0:
-                # pin the boundary so later segments see no drift
-                t = seg_start + delta
-            else:
-                t = seg_start + j * dt
-            times.append(t)
-            positions.append(X.copy())
-            covariances.append(Sigma.copy())
-        if rem > 0.0:
-            Er = expm(A * rem)
-            X = X @ Er.T
-            Sigma = _lyapunov_rk4(Sigma, A, rem)
-            times.append(seg_start + delta)
+        if rem > _REMAINDER_TOL * max(1.0, delta):
+            steps.append(rem)
+        E = {h: expm(A * h).T for h in set(steps)}
+        for j, h in enumerate(steps, start=1):
+            X = X @ E[h]
+            Sigma = _lyapunov_rk4(Sigma, A, h)
+            # pin the last sample to the boundary so later segments see no drift
+            times.append(seg_start + delta if j == len(steps) else seg_start + j * dt)
             positions.append(X.copy())
             covariances.append(Sigma.copy())
         seg_start = seg_start + delta

@@ -7,8 +7,8 @@ and the SPD matrix functions evaluated through it. Block diagonalization
 and verification call the stacked LAPACK routines directly, since they
 take many small decompositions at once and need no sign convention. The
 polar decomposition runs Higham's scaled Newton iteration on the matrix
-itself, and the general exponential uses scaling and squaring with
-diagonal Pade approximants.
+itself, and the general exponential uses scaling and squaring with one
+diagonal Pade approximant, of degree 13.
 """
 
 from __future__ import annotations
@@ -55,8 +55,17 @@ class EigenPair(NamedTuple):
     d: np.ndarray
 
 
+def _floats(value, name, copy=True) -> np.ndarray:
+    """value as a C-ordered float array, a fresh one unless copy is None;
+    raises InvalidInput naming it if it is ragged or not numeric."""
+    try:
+        return np.array(value, dtype=float, order="C", copy=copy)
+    except (TypeError, ValueError) as err:
+        raise InvalidInput(f"{name} must be an array of real numbers ({err})") from err
+
+
 def _as_square(A, name="matrix") -> np.ndarray:
-    A = np.array(A, dtype=float, order="C")
+    A = _floats(A, name)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidInput(f"{name} must be square, got shape {A.shape}")
     if A.size and not np.all(np.isfinite(A)):
@@ -197,104 +206,49 @@ def cond(Sigma) -> float:
     return float(pair.d[0] / pair.d[-1])
 
 
-# Pade order thresholds on the 1-norm, degree-13 scaling-and-squaring family.
-_PADE_THETA = (
-    (3, 1.495585217958292e-2),
-    (5, 2.539398330063230e-1),
-    (7, 9.504178996162932e-1),
-    (9, 2.097847961257068),
-)
+# Degree-13 diagonal Pade coefficients b_0, ..., b_13 (Higham 2005),
+# divided by b_0 so that b_0 = 1 and expm(0) is exactly I, and the 1-norm
+# up to which that approximant is accurate to roundoff unscaled.
+_PADE_B = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+    960960.0, 16380.0, 182.0, 1.0,
+))
 _THETA_13 = 5.371920351148152
-
-_PADE_B = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (
-        17643225600.0,
-        8821612800.0,
-        2075673600.0,
-        302702400.0,
-        30270240.0,
-        2162160.0,
-        110880.0,
-        3960.0,
-        90.0,
-        1.0,
-    ),
-    13: (
-        64764752532480000.0,
-        32382376266240000.0,
-        7771770303897600.0,
-        1187353796428800.0,
-        129060195264000.0,
-        10559470521600.0,
-        670442572800.0,
-        33522128640.0,
-        1323241920.0,
-        40840800.0,
-        960960.0,
-        16380.0,
-        182.0,
-        1.0,
-    ),
-}
-
-
-def _pade_uv(A: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    b = _PADE_B[m]
-    n = A.shape[0]
-    I = np.eye(n)
-    A2 = A @ A
-    if m < 13:
-        # U collects odd powers, V even powers, built on powers of A^2.
-        powers = [I, A2]
-        for _ in range((m - 1) // 2 - 1):
-            powers.append(powers[-1] @ A2)
-        U = np.zeros_like(A)
-        V = np.zeros_like(A)
-        for k, P in enumerate(powers):
-            U += b[2 * k + 1] * P
-            V += b[2 * k] * P
-        return A @ U, V
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    U = A @ (
-        A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-        + b[7] * A6
-        + b[5] * A4
-        + b[3] * A2
-        + b[1] * I
-    )
-    V = (
-        A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-        + b[6] * A6
-        + b[4] * A4
-        + b[2] * A2
-        + b[0] * I
-    )
-    return U, V
 
 
 def expm(A) -> np.ndarray:
     """General matrix exponential by scaling and squaring.
 
-    The Pade order (3, 5, 7, 9, or 13) and the number of squarings are chosen
-    from the 1-norm of A with the standard degree-13 thresholds.
+    A is halved s times until its 1-norm is at most theta_13, the
+    degree-13 Pade approximant is evaluated there, and the result is
+    squared s times. That one degree is accurate to roundoff at every norm.
     """
     A = _as_square(A, "expm input")
     norm = float(np.linalg.norm(A, 1))
-    s = 0
-    m = 13
-    for order, theta in _PADE_THETA:
-        if norm <= theta:
-            m = order
-            break
-    else:
-        if norm > _THETA_13:
-            s = int(math.ceil(math.log2(norm / _THETA_13)))
+    s = int(math.ceil(math.log2(norm / _THETA_13))) if norm > _THETA_13 else 0
     B = A / (2.0**s) if s else A
-    U, V = _pade_uv(B, m)
+    b = _PADE_B
+    I = np.eye(A.shape[0])
+    B2 = B @ B
+    B4 = B2 @ B2
+    B6 = B2 @ B4
+    # U collects the odd powers of B, V the even ones.
+    U = B @ (
+        B6 @ (b[13] * B6 + b[11] * B4 + b[9] * B2)
+        + b[7] * B6
+        + b[5] * B4
+        + b[3] * B2
+        + b[1] * I
+    )
+    V = (
+        B6 @ (b[12] * B6 + b[10] * B4 + b[8] * B2)
+        + b[6] * B6
+        + b[4] * B4
+        + b[2] * B2
+        + I
+    )
     try:
         X = np.linalg.solve(V - U, V + U)
     except np.linalg.LinAlgError as exc:

@@ -98,6 +98,12 @@ class TestFactorRotation2:
             factor_rotation2(math.pi, FactorOptions(k_rotation=4))
 
 
+    def test_documented_budget_call(self):
+        chain = factor_rotation2(math.pi, FactorOptions(lam_budget=30.0))
+        assert len(chain.factors) == 5
+        assert np.linalg.norm(chain.product() + np.eye(2)) <= 1e-10
+
+
 class TestFactorOrthogonal:
     def test_identity_is_single_factor(self):
         ch = factor_orthogonal(np.eye(4))
@@ -442,3 +448,13 @@ class TestFactorOptions:
             FactorOptions(lam_budget=0.5)
         with pytest.raises(InvalidParams):
             FactorOptions(tol_verify=0.0)
+
+    @pytest.mark.parametrize("entry, arg", [
+        (factor_rotation2, 1.0),
+        (factor_orthogonal, rotation2(1.0)),
+        (factor_matrix, np.diag([2.0, 3.0])),
+    ], ids=["factor_rotation2", "factor_orthogonal", "factor_matrix"])
+    @pytest.mark.parametrize("opts", [1000, 0, "fast"])
+    def test_options_must_be_factor_options(self, entry, arg, opts):
+        with pytest.raises(InvalidParams, match="expected FactorOptions"):
+            entry(arg, opts)

@@ -109,6 +109,16 @@ class TestFactorCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("n", [2.7, "2", True],
+                             ids=["fractional", "string", "boolean"])
+    def test_dimension_must_be_json_integer(self, tmp_path, capsys, n):
+        # int() would factor 2.7 as a 2x2, parse "2", and read true as 1.
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": n, "data": [2, 0, 0, 3]}), encoding="utf-8")
+        rc = main(["factor", str(path)])
+        assert rc == 1
+        assert "n must be an integer >= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol, code", [("1e-8", 0), ("1e-300", 3)],
                              ids=["passes", "fails_verify"])
     def test_closed_stdout_keeps_exit_code(self, tmp_path, monkeypatch,

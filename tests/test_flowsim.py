@@ -14,15 +14,17 @@ from pdfactor.errors import (
     NotPositiveDefinite,
 )
 from pdfactor.flowsim import (
+    _REMAINDER_TOL,
     FlowSegment,
     ParticleCloud,
     Trajectory,
     segments_from_chain,
     simulate,
     transition_matrix,
+    _lyapunov_rk4,
     write_trajectory_csv,
 )
-from pdfactor.matfun import sym_exp
+from pdfactor.matfun import expm, sym_exp
 from pdfactor.planar import FactorChain, build_chain, plan_scheme, rotation2
 
 from _helpers import rng
@@ -220,6 +222,48 @@ class TestSimulate:
         assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], atol=0.0)
         end = sym_exp(A) @ np.array([1.0, 1.0])
         assert np.linalg.norm(traj.positions[-1, 0] - end) <= 1e-12
+
+    @pytest.mark.parametrize("dt", [1e-2, 0.1, 0.07, 0.25, 0.3])
+    def test_matches_two_branch_reference(self, dt):
+        # Reference: whole dt steps in one loop, then a separate remainder
+        # step. simulate folds both into one loop over the step sizes; the
+        # arrays must be bit-identical. Durations 1, 0.7 and 2.5 are
+        # divided by some of the dt values and not by others.
+        def reference(segs, cloud, dt):
+            X, Sigma = cloud.positions.copy(), cloud.covariance()
+            times, positions, covariances = [cloud.time], [X.copy()], [Sigma.copy()]
+            seg_start = cloud.time
+            for seg in segs:
+                A, delta = seg.A, seg.duration
+                m = int(math.floor(delta / dt + 1e-9))
+                rem = delta - m * dt
+                if rem <= _REMAINDER_TOL * max(1.0, delta):
+                    rem = 0.0
+                E = expm(A * dt)
+                for j in range(1, m + 1):
+                    X = X @ E.T
+                    Sigma = _lyapunov_rk4(Sigma, A, dt)
+                    t = seg_start + delta if j == m and rem == 0.0 else seg_start + j * dt
+                    times.append(t)
+                    positions.append(X.copy())
+                    covariances.append(Sigma.copy())
+                if rem > 0.0:
+                    X = X @ expm(A * rem).T
+                    Sigma = _lyapunov_rk4(Sigma, A, rem)
+                    times.append(seg_start + delta)
+                    positions.append(X.copy())
+                    covariances.append(Sigma.copy())
+                seg_start = seg_start + delta
+            return np.array(times), np.array(positions), np.array(covariances)
+
+        ch = minus_identity_chain()
+        segs = segments_from_chain(FactorChain(ch.factors[:3]), [1.0, 0.7, 2.5])
+        cloud = ParticleCloud(rng(63).standard_normal((5, 2)), time=0.3)
+        traj = simulate(segs, cloud, dt=dt)
+        times, positions, covariances = reference(segs, cloud, dt)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.positions, positions)
+        assert np.array_equal(traj.covariances, covariances)
 
     def test_start_time_offsets_samples(self):
         segs = [FlowSegment(np.zeros((2, 2)), 1.0)]

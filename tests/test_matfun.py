@@ -10,7 +10,11 @@ from pdfactor.errors import (
     NotPositiveDefinite,
     SingularInput,
 )
+from pdfactor.ballantine import factor_matrix, verify
+from pdfactor.flowsim import ParticleCloud, Trajectory
 from pdfactor.matfun import cond, expm, polar, spd_log, spd_sqrt, sym_eig, sym_exp
+from pdfactor.planar import FactorChain
+from pdfactor.transport import ot_map
 
 from _helpers import (
     random_orthogonal,
@@ -191,6 +195,23 @@ class TestSqrtLogExp:
                 cond(np.diag([1.0, 1e-13]) * scale)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: factor_matrix([[1.0, 2.0], [3.0]]),
+    lambda: sym_eig("abc"),
+    lambda: verify(FactorChain([np.eye(2)]), "ab", 1e-8),
+    lambda: FactorChain([[[1.0, 2.0], [3.0]]]),
+    lambda: ot_map(np.eye(2), [[1.0, "x"], [0.0, 1.0]]),
+    lambda: ParticleCloud([[1.0, 2.0], [3.0]]),
+    lambda: ParticleCloud("abc"),
+    lambda: Trajectory([0.0, 1.0], [[[1.0, 2.0]], [[3.0]]], np.zeros((2, 2, 2))),
+], ids=["factor_matrix", "sym_eig", "verify", "FactorChain", "ot_map",
+        "ParticleCloud_ragged", "ParticleCloud_string", "Trajectory"])
+def test_ragged_or_non_numeric_matrix_is_invalid_input(call):
+    # The conversion to a float array fails; that is the caller's input.
+    with pytest.raises(InvalidInput, match="must be an array of real numbers"):
+        call()
+
+
 class TestExpm:
     def test_skew_2x2_closed_form(self):
         t = 0.5
@@ -199,6 +220,24 @@ class TestExpm:
 
     def test_zero(self):
         assert_allclose(expm(np.zeros((4, 4))), np.eye(4), atol=0)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_zero_is_exactly_identity(self, n):
+        assert np.array_equal(expm(np.zeros((n, n))), np.eye(n))
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
+    def test_norm_sweep_at_roundoff(self, symmetric):
+        # 1-norms 1e-8 to 10, n 2 to 8: the small norms are where every
+        # simulate substep runs; past theta_13 = 5.37 the scaling path runs.
+        r = rng(18 if symmetric else 19)
+        for n in range(2, 9):
+            for norm in np.logspace(-8, 1, 19):
+                A = r.standard_normal((n, n))
+                if symmetric:
+                    A = A + A.T
+                A *= norm / np.linalg.norm(A, 1)
+                T = taylor_expm(A)
+                assert np.linalg.norm(expm(A) - T) <= 1e-13 * np.linalg.norm(T)
 
     def test_matches_taylor_oracle(self):
         A = rng(10).standard_normal((4, 4))
