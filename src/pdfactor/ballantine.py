@@ -20,7 +20,6 @@ from .errors import (
     InvalidParams,
     NonPositiveDeterminant,
     NumericalFailure,
-    SingularInput,
 )
 from .matfun import SPD_RTOL, _as_square, _frob, _real, _spd_ok, _sym_spd, polar
 from .planar import (
@@ -144,37 +143,40 @@ def factor_orthogonal(V, opts: FactorOptions | None = None) -> FactorChain:
     """
     opts = _options(opts)
     decomp = block_diagonalize(V)
+    return FactorChain._trusted(_stages(decomp, opts) or [np.eye(decomp.n)])
+
+
+def _stages(decomp, opts: FactorOptions) -> list:
+    """The rotation stages U D_i U^T of a decomposition; none without planes."""
     theta, rows = _planes(decomp)
     if not theta.size:
-        return FactorChain._trusted([np.eye(decomp.n)])
+        return []
     k = opts.k_rotation
     a, b, d = _chain_factors(*_plan(theta, k, opts.lam_budget), k)
     D = _blocks_in_identity(decomp.n, rows, a, b, b, d)
     N = decomp.U @ D @ decomp.U.T
-    return FactorChain._trusted(list((N + N.transpose(0, 2, 1)) / 2.0))
+    return list((N + N.transpose(0, 2, 1)) / 2.0)
 
 
 def factor_matrix(Phi, opts: FactorOptions | None = None) -> FactorChain:
     """SPD chain for any square matrix with positive determinant.
 
     Polar-splits Phi = V S and prepends the stretch S (applied first) to
-    the chain of rotation stages for V. Pure stretches collapse to the
-    single factor [S]; pure rotations drop the near-identity S.
+    the chain of rotation stages for V. Pure stretches (V has no rotation
+    plane) collapse to the single factor [S]; pure rotations drop the
+    near-identity S.
     """
     opts = _options(opts)
     Phi = _as_square(Phi, "factor_matrix input")
     n = Phi.shape[0]
-    # slogdet, unlike det, cannot overflow or underflow at any scale; a
-    # numerically singular input fails polar's condition estimate.
-    sign, _ = np.linalg.slogdet(Phi)
-    if sign == 0.0:
-        raise SingularInput("input determinant vanishes to working precision")
-    if sign < 0.0:
+    # polar rejects a numerically singular input first; past that gate
+    # det V = +-1 carries the sign of det Phi reliably at every scale.
+    V, S = polar(Phi)
+    if np.linalg.det(V) < 0.0:
         raise NonPositiveDeterminant(
             "determinant not positive; a product of SPD factors "
             "always has positive determinant"
         )
-    V, S = polar(Phi)
     # The stretch is a factor of the chain, so it must pass the same SPD
     # certificate as verify applies; its eigenvalue ratio is that of Phi.
     # S is exactly symmetric, and LAPACK scales it internally at any scale.
@@ -185,15 +187,13 @@ def factor_matrix(Phi, opts: FactorOptions | None = None) -> FactorChain:
             f"the stretch has condition number {kappa:.3e}, at or past "
             f"the SPD certificate's limit {1.0 / SPD_RTOL:.0e}"
         )
-    if _frob(V - np.eye(n)) <= 1e-12:
-        return FactorChain._trusted([S])
-    chain = factor_orthogonal(V, opts)
+    stages = _stages(block_diagonalize(V), opts)
     D = S - np.eye(n)
     # The norm is only taken once every entry is small, so its squares
     # cannot overflow for a huge stretch.
-    if np.max(np.abs(D)) <= 1e-10 and _frob(D) <= 1e-10:
-        return chain
-    return FactorChain._trusted([S] + chain.factors)
+    if stages and np.max(np.abs(D)) <= 1e-10 and _frob(D) <= 1e-10:
+        return FactorChain._trusted(stages)
+    return FactorChain._trusted([S] + stages)
 
 
 def verify(chain, target, tol) -> VerificationReport:

@@ -27,7 +27,7 @@ from .flowsim import (
     transition_matrix,
     write_trajectory_csv,
 )
-from .matfun import _certify_spd, _floats, _spd_ok, _sym_spd
+from .matfun import _as_square, _certify_spd, _floats, _spd_ok, _sym_spd
 from .planar import ChainParams, FactorChain, phi_sweep
 
 __all__ = [
@@ -88,8 +88,10 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_matrix(path, M) -> None:
-    M = np.asarray(M, dtype=np.float64)
-    doc = {"n": int(M.shape[0]), "data": M.ravel().tolist()}
+    """Write M for load_matrix. Raises InvalidInput, and writes nothing,
+    unless M is a finite square matrix."""
+    M = _as_square(M, "matrix")
+    doc = {"n": M.shape[0], "data": M.ravel().tolist()}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh)
         fh.write("\n")

@@ -6,8 +6,9 @@ they are written for determinism first: one symmetric eigensolver (LAPACK
 and the SPD matrix functions evaluated through it. Block diagonalization
 and verification call the stacked LAPACK routines directly, since they
 take many small decompositions at once and need no sign convention. The
-polar decomposition runs Higham's scaled Newton iteration on the matrix
-itself, and the general exponential uses scaling and squaring with one
+polar decomposition takes one SVD of the matrix itself, whose singular
+values also give the exact 2-norm condition number for the singularity
+gate, and the general exponential uses scaling and squaring with one
 diagonal Pade approximant, of degree 13.
 """
 
@@ -43,9 +44,6 @@ SYM_RTOL = 1e-12
 SPD_RTOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
-# Newton polar iteration: step cap and the relative step that ends it.
-_POLAR_STEPS = 30
-_POLAR_STOP = math.sqrt(_EPS)
 
 
 class EigenPair(NamedTuple):
@@ -261,50 +259,34 @@ def expm(A) -> np.ndarray:
 def polar(Phi) -> tuple[np.ndarray, np.ndarray]:
     """Right polar decomposition Phi = V S with V orthogonal and S SPD.
 
-    V comes from Higham's scaled Newton iteration on Phi itself,
-    X <- (zeta X + X^{-T} / zeta) / 2 with zeta = (||X^{-1}||_F / ||X||_F)^{1/2},
-    and S = sym(V^T Phi). Working on Phi rather than Phi^T Phi keeps the
-    condition number from being squared. det V carries the sign of det Phi.
+    One SVD X = U Sigma W^T of Phi times a power of two gives V = U W^T
+    (Higham 1986), and S = sym(V^T Phi). Forming S from Phi itself rather
+    than as W Sigma W^T keeps the backward error ||V S - Phi|| at roundoff.
+    det V carries the sign of det Phi.
 
     Raises
     ------
     SingularInput
-        If Phi is singular to working precision (``||Phi||_F ||Phi^{-1}||_F``
-        above ``1 / (n eps)``).
+        If Phi is singular to working precision: its 2-norm condition
+        number sigma_1 / sigma_n exceeds ``1 / (n eps)``.
     NumericalFailure
-        If the iteration has not settled after 30 steps.
+        If the SVD does not converge.
     """
     Phi = _as_square(Phi, "polar input")
     n = Phi.shape[0]
-    # Iterate on Phi times an exact power of two that brings its largest
-    # entry near 1, so the norms below cannot overflow; V does not depend
-    # on the scale.
+    # Factor Phi times an exact power of two that brings its largest entry
+    # near 1, so nothing below can overflow; V does not depend on the scale.
     X = np.ldexp(Phi, -math.frexp(float(np.max(np.abs(Phi))))[1])
     try:
-        Xinv = np.linalg.inv(X)
+        U, sigma, Wt = np.linalg.svd(X)
     except np.linalg.LinAlgError as exc:
-        raise SingularInput("polar input is singular to working precision") from exc
-    kappa = _frob(X) * _frob(Xinv)
+        raise NumericalFailure(f"SVD of the polar input failed: {exc}") from exc
+    kappa = float(sigma[0] / sigma[-1]) if sigma[-1] > 0.0 else math.inf
     if not kappa <= 1.0 / (n * _EPS):
         raise SingularInput(
             "polar input is singular to working precision "
-            f"(condition estimate {kappa:.3e})"
+            f"(condition number {kappa:.3e})"
         )
-    # Every singular value of an iterate is at least 1, so the inverses
-    # below cannot fail.
-    scale = True
-    for _ in range(_POLAR_STEPS):
-        # Scaling speeds up the early steps; near convergence it only adds
-        # rounding, so the last steps are the plain Newton iteration.
-        zeta = math.sqrt(_frob(Xinv) / _frob(X)) if scale else 1.0
-        Xnew = 0.5 * (zeta * X + Xinv.T / zeta)
-        delta = _frob(Xnew - X) / _frob(Xnew)
-        X = Xnew
-        # Convergence is quadratic: a step of size delta leaves an error
-        # of order delta^2, which is roundoff once delta is below sqrt(eps).
-        if delta <= _POLAR_STOP:
-            VtP = X.T @ Phi
-            return X, (VtP + VtP.T) / 2.0
-        scale = delta > 1e-2
-        Xinv = np.linalg.inv(X)
-    raise NumericalFailure(f"polar iteration did not converge in {_POLAR_STEPS} steps")
+    V = U @ Wt
+    VtP = V.T @ Phi
+    return V, (VtP + VtP.T) / 2.0

@@ -129,7 +129,10 @@ class FactorChain:
         return chain
 
     def product(self) -> np.ndarray:
-        return chain_product(self.factors)
+        P = np.eye(self.n)
+        for M in self.factors:
+            P = M @ P
+        return P
 
 
 @dataclass
@@ -150,11 +153,9 @@ def rotation2(theta) -> np.ndarray:
 
 
 def chain_product(factors) -> np.ndarray:
-    """Multiply factors right to left (factors[0] acts first)."""
-    P = np.eye(np.asarray(factors[0]).shape[0])
-    for M in factors:
-        P = np.asarray(M, dtype=float) @ P
-    return P
+    """Multiply factors right to left (factors[0] acts first), checked as
+    a FactorChain checks them."""
+    return FactorChain(factors=list(factors)).product()
 
 
 def _coerce_params(p) -> ChainParams:

@@ -5,10 +5,11 @@ symmetric part (V + V^T)/2 has the plane cosines as eigenvalues; inside
 each cluster of them the skew part K commutes with the symmetric part, so
 the Hermitian matrix iK splits the cluster: every eigenvector z of a
 positive rate sin(theta) spans the plane (Im z, Re z), and the directions of
-rate zero are +1/-1 axes. Clusters of one size go through one stacked
-complex ``eigh``. Minus-one axes always come in pairs (det V = +1) and are
-merged into half-turn blocks, so every emitted rotation angle lies in
-(0, pi].
+rate zero are +1/-1 axes. A cluster of two cosines is one plane or two
+axes, read in closed form; larger clusters (repeated angles, or a plane
+near an axis) of one size go through one stacked complex ``eigh``.
+Minus-one axes always come in pairs (det V = +1) and are merged into
+half-turn blocks, so every emitted rotation angle lies in (0, pi].
 """
 
 from __future__ import annotations
@@ -131,6 +132,20 @@ def block_diagonalize(V) -> OrthogonalDecomposition:
         if m == 1:  # a lone direction is an axis
             axes.append(Q[:, first])
             axis_cos.append(cosines[first])
+            continue
+        if m == 2:
+            # One plane or two axes, read off the restricted action R(+-t).
+            # A negative sine swaps the plane's columns to the orientation
+            # (Im z, Re z) below gives.
+            ij = first[:, None] + np.arange(2)
+            diag = W[ij, ij]
+            sin = W[first, first + 1] - W[first + 1, first]
+            plane = np.abs(sin) / 2.0 > PLANE_CUT
+            ij[plane & (sin < 0.0)] = ij[plane & (sin < 0.0), ::-1]
+            thetas.append(np.arctan2(np.abs(sin[plane]), diag[plane].sum(axis=1)))
+            pairs.append(Q[:, ij[plane].ravel()])
+            axes.append(Q[:, ij[~plane].ravel()])
+            axis_cos.append(diag[~plane].ravel())
             continue
         idx = first[:, None] + np.arange(m)
         # Everything below runs in cluster coordinates: the restricted

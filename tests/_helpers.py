@@ -18,6 +18,13 @@ def rng(offset=0):
     return np.random.default_rng(SEED + offset)
 
 
+def hilbert(n):
+    """The n x n Hilbert matrix 1 / (i + j + 1): SPD, with condition number
+    1.5e7 at n = 6 and about 2e22 at n = 16."""
+    i = np.arange(n)
+    return 1.0 / (i[:, None] + i + 1.0)
+
+
 def random_symmetric(r, n, scale=1.0):
     A = r.standard_normal((n, n)) * scale
     return (A + A.T) / 2.0

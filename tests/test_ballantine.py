@@ -25,7 +25,7 @@ from pdfactor.errors import (
 from pdfactor.planar import FactorChain, _plan, build_chain, plan_scheme, rotation2
 from pdfactor.spectral import _planes, block_diagonalize
 
-from _helpers import random_rotation, random_spd, rng
+from _helpers import hilbert, random_rotation, random_spd, rng
 
 # Product of the two-decimal reference factors against -I. Rounding at two
 # decimals already costs more than the underlying construction error.
@@ -298,8 +298,8 @@ class TestFactorMatrix:
         assert outcomes == {"passed", "failed"}
 
     def test_huge_entries(self):
-        # det(Phi) and ||Phi||_F^2 overflow at this scale; slogdet, the
-        # rescaled polar iteration and verify's power-of-two units do not.
+        # det(Phi) and ||Phi||_F^2 overflow at this scale; the rescaled
+        # polar SVD, det V and verify's power-of-two units do not.
         Phi = rng(57).standard_normal((4, 4))
         if np.linalg.det(Phi) < 0:
             Phi[:, 0] = -Phi[:, 0]
@@ -309,7 +309,7 @@ class TestFactorMatrix:
             assert verify(ch, Phi, 1e-8).passed
 
     def test_power_of_two_scale_is_exact(self):
-        # polar iterates on Phi times a power of two, and nothing downstream
+        # polar factors Phi times a power of two, and nothing downstream
         # depends on the scale: Phi 2^e gives the stretch times 2^e and
         # bit-identical rotation stages, while every entry stays normal.
         r = rng(62)
@@ -359,6 +359,32 @@ class TestFactorMatrix:
     def test_rejects_singular(self):
         with pytest.raises(SingularInput):
             factor_matrix(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_numerically_singular_spd_is_singular(self, n):
+        # The Hilbert matrix is SPD with condition 1e18..1e22, where the
+        # sign of its computed determinant is roundoff. The singular gate
+        # runs before the sign is read.
+        with pytest.raises(SingularInput):
+            factor_matrix(hilbert(n))
+
+    @pytest.mark.parametrize("Phi", [
+        rotation2(3e-12) @ np.diag([2.0, 0.5]),
+        rotation2(5e-12) @ np.diag([2.0, 0.5]),
+        hilbert(6),
+    ], ids=["rotated_3e-12", "rotated_5e-12", "hilbert6"])
+    def test_pure_stretch_is_one_factor(self, Phi):
+        # V differs from I by more than roundoff but holds no rotation
+        # plane, so the chain is the stretch alone.
+        ch = factor_matrix(Phi)
+        assert len(ch.factors) == 1
+        assert verify(ch, Phi, 1e-8).passed
+
+    def test_past_two_norm_gate_fails_numerically(self):
+        # kappa_2 = 1e15 passes polar's gate 1 / (4 eps); the stretch then
+        # fails the SPD certificate.
+        with pytest.raises(NumericalFailure, match="stretch"):
+            factor_matrix(np.diag([1.0, 1.0, 1.0, 1e-15]))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidInput):

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from pdfactor import cli, errors
-from pdfactor.cli import load_chain, main, save_chain, save_matrix
+from pdfactor.cli import load_chain, load_matrix, main, save_chain, save_matrix
 from pdfactor.errors import InvalidInput, NotPositiveDefinite
 
-from _helpers import rng
+from _helpers import hilbert, rng
 
 DISPLAY_FACTORS = [
     [5.48, 0.0, 0.0, 0.18],
@@ -70,6 +70,13 @@ class TestFactorCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert "determinant not positive" in err
+
+    def test_numerically_singular_spd_is_singular(self, tmp_path, capsys):
+        target = write_matrix(tmp_path / "h.json", hilbert(16))
+        rc = main(["factor", target])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "singular" in err
 
     def test_half_turn_unreachable_at_four_factors(self, tmp_path, capsys):
         target = write_matrix(tmp_path / "m.json", -np.eye(2))
@@ -229,6 +236,31 @@ class TestChainFileFormat:
         rc = main(["verify", "--chain", chain, "--target", target])
         capsys.readouterr()
         assert rc == 1
+
+
+class TestMatrixFileFormat:
+    @pytest.mark.parametrize("M", [
+        [[1.0, 2.0], [3.0]],
+        np.ones((2, 3)),
+        [["a", "b"], ["c", "d"]],
+        [[1.0, math.nan], [0.0, 1.0]],
+    ], ids=["ragged", "non_square", "non_numeric", "non_finite"])
+    def test_save_rejects_and_writes_nothing(self, tmp_path, M):
+        path = tmp_path / "m.json"
+        with pytest.raises(InvalidInput):
+            save_matrix(str(path), M)
+        assert not path.exists()
+
+    def test_bit_exact_roundtrip(self, tmp_path):
+        r = rng(90)
+        for n in (1, 2, 5):
+            M = r.standard_normal((n, n)) * 10.0 ** r.uniform(-300, 300)
+            first, second = tmp_path / "a.json", tmp_path / "b.json"
+            save_matrix(str(first), M)
+            loaded = load_matrix(str(first))
+            assert np.array_equal(loaded, M)
+            save_matrix(str(second), loaded)
+            assert second.read_bytes() == first.read_bytes()
 
 
 class TestSweepCommand:

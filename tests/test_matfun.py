@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from pdfactor.errors import (
     InvalidInput,
     NotPositiveDefinite,
+    NumericalFailure,
     SingularInput,
 )
 from pdfactor.ballantine import factor_matrix, verify
@@ -289,8 +290,8 @@ class TestPolar:
             polar([[1.0, 1.0], [1.0, 1.0]])
 
     def test_ill_conditioned_inputs(self):
-        # The Newton iteration works on Phi itself, so condition numbers up
-        # to 1e14 stay well inside the 1 / (n eps) singularity gate. V is
+        # The SVD works on Phi itself, so condition numbers up to 1e14 stay
+        # well inside the 1 / (n eps) singularity gate. V is
         # only determined to roundoff times 2 / (sigma_{n-1} + sigma_n).
         r = rng(16)
         for n in (2, 3, 5, 8, 16):
@@ -318,6 +319,24 @@ class TestPolar:
     def test_numerically_singular_rejected(self):
         with pytest.raises(SingularInput):
             polar(np.diag([1.0, 1e-17]))
+
+    def test_gate_is_two_norm_condition(self):
+        # ||X||_F ||X^{-1}||_F would read 3e16 and 3e15 here. The gate and
+        # its message use sigma_1 / sigma_n, and 1e15 is inside 1 / (4 eps).
+        with pytest.raises(SingularInput, match=r"condition number 1\.000e\+16"):
+            polar(np.diag([1.0, 1.0, 1.0, 1e-16]))
+        Phi = np.diag([1.0, 1.0, 1.0, 1e-15])
+        V, S = polar(Phi)
+        assert_allclose(V, np.eye(4), rtol=0, atol=1e-15)
+        assert_allclose(S, Phi, rtol=0, atol=1e-15)
+
+    def test_svd_failure_is_numerical_failure(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(NumericalFailure, match="SVD"):
+            polar(np.eye(3))
 
 
 class TestCond:

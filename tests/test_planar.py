@@ -574,3 +574,14 @@ class TestFactorChainType:
         A = np.array([[1.0, 1.0], [0.0, 1.0]])
         B = np.array([[2.0, 0.0], [0.0, 1.0]])
         assert_allclose(FactorChain([A, B]).product(), B @ A, atol=0)
+
+    @pytest.mark.parametrize("factors, error", [
+        ([[[1.0, 2.0], [3.0]]], InvalidInput),
+        ([[["a", "b"], ["c", "d"]]], InvalidInput),
+        ([np.ones((2, 3))], InvalidInput),
+        ([], InvalidInput),
+        ([np.eye(2), np.eye(3)], DimensionMismatch),
+    ], ids=["ragged", "non_numeric", "non_square", "empty", "size_change"])
+    def test_chain_product_checks_factors(self, factors, error):
+        with pytest.raises(error):
+            chain_product(factors)

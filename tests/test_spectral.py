@@ -173,6 +173,42 @@ class TestBlockDiagonalize:
         assert_allclose(block_angles(d), [0.9, 0.9, 0.9], atol=1e-10)
         assert np.linalg.norm(assemble(d) - V) <= 1e-9
 
+    def test_random_rotations_n2_to_n24(self):
+        # Random rotations give clusters of one and two cosines only, which
+        # are read without a complex eigh. The angles are the arguments of
+        # V's eigenvalues, and a rerun is bit-identical.
+        r = rng(50)
+        for n in range(2, 25):
+            V = random_rotation(r, n)
+            d = block_diagonalize(V)
+            args = np.angle(np.linalg.eigvals(V))
+            assert_allclose(
+                sorted(block_angles(d)), np.sort(args[args > 1e-6]), rtol=0, atol=1e-12
+            )
+            assert np.linalg.norm(d.U.T @ d.U - np.eye(n)) <= 1e-12
+            assert np.linalg.norm(assemble(d) - V) <= 1e-9
+            again = block_diagonalize(V)
+            assert again.U.tobytes() == d.U.tobytes()
+            assert block_angles(again) == block_angles(d)
+
+    @pytest.mark.parametrize("blocks, angles, units", [
+        (((3e-12,), (2.0,)), [2.0], 2),
+        (((math.pi - 3e-12,), (2.0,), 1.0), [math.pi, 2.0], 1),
+    ], ids=["two_axes", "half_turn"])
+    def test_two_cosine_cluster_below_plane_cut(self, blocks, angles, units):
+        # A pair whose rate sin(theta) is under PLANE_CUT reads as two axes:
+        # +1 axes near 0, and near pi two -1 axes that merge into a half
+        # turn. (The near-0 pair sits in an even n: the +1 axis of an odd n
+        # would join its cluster.)
+        V0 = embed(*blocks)
+        n = V0.shape[0]
+        Q = random_rotation(rng(51), n)
+        d = block_diagonalize(Q @ V0 @ Q.T)
+        assert_allclose(block_angles(d), angles, rtol=0, atol=1e-12)
+        assert block_angles(d)[0] == angles[0]
+        assert sum(isinstance(b, UnitBlock) for b in d.blocks) == units
+        assert np.linalg.norm(assemble(d) - Q @ V0 @ Q.T) <= 1e-9
+
     def test_deterministic_output(self):
         V = random_rotation(rng(47), 6)
         d1 = block_diagonalize(V)
