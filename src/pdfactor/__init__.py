@@ -9,76 +9,17 @@ determinant.
 """
 
 from . import ballantine, cli, errors, flowsim, matfun, planar, spectral, transport
-from .ballantine import (
-    FactorOptions,
-    FactorStats,
-    VerificationReport,
-    factor_matrix,
-    factor_orthogonal,
-    factor_rotation2,
-    verify,
-)
-from .errors import (
-    DimensionMismatch,
-    InputError,
-    InvalidInput,
-    InvalidParams,
-    InvalidStep,
-    NegativeDeterminant,
-    NonPositiveDeterminant,
-    NotARotation,
-    NotOrthogonal,
-    NotPositiveDefinite,
-    NumericError,
-    NumericalFailure,
-    PdfactorError,
-    SingularInput,
-    TargetUnreachable,
-)
-from .flowsim import (
-    FlowSegment,
-    ParticleCloud,
-    Trajectory,
-    segments_from_chain,
-    simulate,
-    transition_matrix,
-    write_trajectory_csv,
-)
-from .matfun import (
-    EigenPair,
-    cond,
-    expm,
-    polar,
-    spd_log,
-    spd_sqrt,
-    sym_eig,
-    sym_exp,
-)
-from .planar import (
-    ChainParams,
-    FactorChain,
-    SweepTable,
-    build_chain,
-    chain_covariances,
-    chain_product,
-    gradient_generator,
-    net_rotation,
-    phi_sweep,
-    plan_scheme,
-    rotation2,
-    solve_theta,
-)
-from .spectral import (
-    OrthogonalDecomposition,
-    RotationBlock,
-    UnitBlock,
-    assemble,
-    block_diagonalize,
-)
-from .transport import ot_map, ot_residual
+from .ballantine import *
+from .errors import *
+from .flowsim import *
+from .matfun import *
+from .planar import *
+from .spectral import *
+from .transport import *
 
 __version__ = "0.1.0"
 
+# Each library module's __all__ is its export list; cli's names stay in cli.
 __all__ = [
     "__version__",
     "ballantine",
@@ -89,60 +30,11 @@ __all__ = [
     "planar",
     "spectral",
     "transport",
-    "PdfactorError",
-    "InputError",
-    "NumericError",
-    "InvalidInput",
-    "InvalidParams",
-    "InvalidStep",
-    "DimensionMismatch",
-    "NotPositiveDefinite",
-    "SingularInput",
-    "NotOrthogonal",
-    "NotARotation",
-    "NegativeDeterminant",
-    "NonPositiveDeterminant",
-    "TargetUnreachable",
-    "NumericalFailure",
-    "EigenPair",
-    "sym_eig",
-    "spd_sqrt",
-    "spd_log",
-    "sym_exp",
-    "expm",
-    "polar",
-    "cond",
-    "ot_map",
-    "ot_residual",
-    "ChainParams",
-    "FactorChain",
-    "SweepTable",
-    "rotation2",
-    "chain_covariances",
-    "chain_product",
-    "build_chain",
-    "net_rotation",
-    "phi_sweep",
-    "solve_theta",
-    "plan_scheme",
-    "gradient_generator",
-    "OrthogonalDecomposition",
-    "RotationBlock",
-    "UnitBlock",
-    "block_diagonalize",
-    "assemble",
-    "FactorOptions",
-    "FactorStats",
-    "VerificationReport",
-    "factor_rotation2",
-    "factor_orthogonal",
-    "factor_matrix",
-    "verify",
-    "FlowSegment",
-    "ParticleCloud",
-    "Trajectory",
-    "segments_from_chain",
-    "simulate",
-    "transition_matrix",
-    "write_trajectory_csv",
+    *errors.__all__,
+    *matfun.__all__,
+    *transport.__all__,
+    *planar.__all__,
+    *spectral.__all__,
+    *ballantine.__all__,
+    *flowsim.__all__,
 ]

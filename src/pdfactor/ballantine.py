@@ -24,6 +24,7 @@ from .errors import (
 from .matfun import SPD_RTOL, _as_square, _frob, _real, _spd_ok, _sym_spd, polar
 from .planar import (
     FactorChain,
+    _as_chain,
     _chain_factors,
     _check_scheme,
     _plan,
@@ -49,8 +50,11 @@ class FactorOptions:
 
     k_rotation is the factor count per rotation stage (5 covers every
     angle including half turns; more factors allow smaller lam), lam_budget
-    caps the condition number of any planned scheme, tol_verify is the
-    residual gate that ``pdfactor factor`` verifies its chain against.
+    caps the scale lam of every planned scheme, tol_verify is the residual
+    gate that ``pdfactor factor`` verifies its chain against. lam is the
+    condition number of a plane's first factor only: the others reach up
+    to about lam^2, and the polar stretch keeps the input's condition.
+    verify reports every factor's condition.
     """
 
     k_rotation: int = 5
@@ -204,8 +208,7 @@ def verify(chain, target, tol) -> VerificationReport:
     indefinite entries produce a failing report rather than an exception.
     All factors are checked at once, by one stacked ``eigvalsh``.
     """
-    if not isinstance(chain, FactorChain):
-        chain = FactorChain(factors=list(chain))
+    chain = _as_chain(chain)
     target = _as_square(target, "verify target")
     tol = _real(tol, "tol")
     if target.shape[0] != chain.n:

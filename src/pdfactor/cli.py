@@ -22,6 +22,7 @@ from .ballantine import FactorOptions, factor_matrix, verify
 from .errors import InputError, InvalidInput, NumericError
 from .flowsim import (
     ParticleCloud,
+    _csv_rows,
     segments_from_chain,
     simulate,
     transition_matrix,
@@ -81,6 +82,12 @@ def _shape_matrix(flat, n, what):
     return arr.reshape(n, n)
 
 
+def _write(path, text) -> None:
+    """Write text to the file at path, UTF-8 with LF line endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def load_matrix(path) -> np.ndarray:
     """Read a JSON matrix file: {"n": dim, "data": flat row-major}."""
     _, n, data = _read_json(path, "data")
@@ -91,10 +98,7 @@ def save_matrix(path, M) -> None:
     """Write M for load_matrix. Raises InvalidInput, and writes nothing,
     unless M is a finite square matrix."""
     M = _as_square(M, "matrix")
-    doc = {"n": M.shape[0], "data": M.ravel().tolist()}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _write(path, json.dumps({"n": M.shape[0], "data": M.ravel().tolist()}) + "\n")
 
 
 def load_chain(path) -> FactorChain:
@@ -131,9 +135,7 @@ def save_chain(path, chain: FactorChain) -> None:
             "theta_rad": chain.params.theta,
             "k": chain.params.k,
         }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _write(path, json.dumps(doc) + "\n")
 
 
 def _emit(text) -> None:
@@ -184,17 +186,15 @@ def cmd_factor(args) -> int:
 def cmd_sweep(args) -> int:
     lams = _parse_float_list(args.lam, "--lambda")
     theta_max = args.theta_max * DEG
-    lines = ["theta_deg,lambda,phi_deg"]
+    text = "theta_deg,lambda,phi_deg\n"
     for lam in lams:
         table = phi_sweep(lam, args.k, theta_max, args.steps)
-        for th, ph in zip(table.theta, table.phi):
-            lines.append(
-                "%.17g,%.17g,%.17g" % (th / DEG, lam, ph / DEG)
-            )
-    text = "\n".join(lines) + "\n"
+        rows = np.column_stack(
+            (table.theta / DEG, np.full(table.theta.size, lam), table.phi / DEG)
+        )
+        text += _csv_rows("%.17g,%.17g,%.17g", rows)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         _emit(text)
     return 0
@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factors", type=int, default=5, metavar="K",
                    help="rotation stages per block (default 5)")
     p.add_argument("--max-cond", type=float, default=1000.0, metavar="L",
-                   help="largest per-factor eigenvalue ratio (default 1000)")
+                   help="largest scale lambda of each rotation plane's chain "
+                   "(default 1000); factors can be worse conditioned")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="verification tolerance (default 1e-8)")
     p.add_argument("--output", help="write the chain JSON here")

@@ -2,6 +2,14 @@
 one of InputError and NumericError, which carry the command-line exit code.
 """
 
+__all__ = [
+    "PdfactorError", "InputError", "NumericError",
+    "InvalidInput", "InvalidParams", "InvalidStep", "DimensionMismatch",
+    "NotPositiveDefinite", "SingularInput", "NotOrthogonal", "NotARotation",
+    "NegativeDeterminant", "NonPositiveDeterminant",
+    "TargetUnreachable", "NumericalFailure",
+]
+
 
 class PdfactorError(Exception):
     """Base class for all errors raised by this package."""

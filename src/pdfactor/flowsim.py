@@ -23,7 +23,7 @@ from .errors import (
     InvalidStep,
 )
 from .matfun import _floats, _real, _require_symmetric, expm, spd_log
-from .planar import FactorChain
+from .planar import _as_chain
 
 __all__ = [
     "FlowSegment",
@@ -139,8 +139,7 @@ def segments_from_chain(chain, durations=None) -> list:
     With no durations given every segment runs for unit time; durations
     only rescale the generators, never the endpoint maps.
     """
-    if not isinstance(chain, FactorChain):
-        chain = FactorChain(list(chain))
+    chain = _as_chain(chain)
     k = len(chain.factors)
     durs = [1.0] * k if durations is None else list(durations)
     if len(durs) != k:
@@ -201,11 +200,12 @@ def simulate(segments, cloud, dt=1e-3) -> Trajectory:
             f"dt={dt} exceeds the shortest segment duration {shortest}"
         )
 
-    X = cloud.positions.copy()
+    # Steps make new arrays and np.array copies the lists: nothing to copy.
+    X = cloud.positions
     Sigma = cloud.covariance()
     times = [cloud.time]
-    positions = [X.copy()]
-    covariances = [Sigma.copy()]
+    positions = [X]
+    covariances = [Sigma]
 
     seg_start = cloud.time
     for seg in segs:
@@ -222,8 +222,8 @@ def simulate(segments, cloud, dt=1e-3) -> Trajectory:
             Sigma = _lyapunov_rk4(Sigma, A, h)
             # pin the last sample to the boundary so later segments see no drift
             times.append(seg_start + delta if j == len(steps) else seg_start + j * dt)
-            positions.append(X.copy())
-            covariances.append(Sigma.copy())
+            positions.append(X)
+            covariances.append(Sigma)
         seg_start = seg_start + delta
 
     return Trajectory(
@@ -241,6 +241,12 @@ def transition_matrix(segments) -> np.ndarray:
     return P
 
 
+def _csv_rows(fmt, rows) -> str:
+    """The rows of a 2-D array as CSV lines, each formatted by fmt (one
+    %-conversion per column, comma-separated); one % formats them all."""
+    return ((fmt + "\n") * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def write_trajectory_csv(trajectory, prefix) -> tuple:
     """Write <prefix>_trajectory.csv and <prefix>_covariance.csv.
 
@@ -255,9 +261,10 @@ def write_trajectory_csv(trajectory, prefix) -> tuple:
     cov_path = f"{prefix}_covariance.csv"
     t, P, C = trajectory.times, trajectory.positions, trajectory.covariances
     ids = np.arange(N)
-    fmt = ["%.17g", "%d"] + ["%.17g"] * n
-    # One np.savetxt call per block of about 4096 rows: the per-call cost
-    # vanishes, and the block is too small to raise peak memory.
+    traj_fmt = ",".join(["%.17g", "%d"] + ["%.17g"] * n)
+    cov_fmt = ",".join(["%.17g"] * (1 + n * n))
+    # One block of about 4096 rows at a time: the per-block cost vanishes,
+    # and the block is too small to raise peak memory.
     step = max(1, 4096 // N)
     with open(traj_path, "w", encoding="utf-8", newline="\n") as ft, \
             open(cov_path, "w", encoding="utf-8", newline="\n") as fc:
@@ -270,7 +277,7 @@ def write_trajectory_csv(trajectory, prefix) -> tuple:
             rows = np.column_stack(
                 (np.repeat(tb, N), np.tile(ids, tb.size), Pb.reshape(-1, n))
             )
-            np.savetxt(ft, rows, fmt=fmt, delimiter=",")
+            ft.write(_csv_rows(traj_fmt, rows))
             rows = np.column_stack((tb, Cb.reshape(tb.size, n * n)))
-            np.savetxt(fc, rows, fmt="%.17g", delimiter=",")
+            fc.write(_csv_rows(cov_fmt, rows))
     return traj_path, cov_path

@@ -89,29 +89,36 @@ def _frob(A) -> float:
     return float(np.linalg.norm(A, "fro"))
 
 
-def _sym_spd(F) -> tuple:
-    """Symmetry and SPD checks of a stack F (..., n, n), safe at every scale:
-    each matrix's Frobenius symmetry defect, whether it is symmetric to
-    roundoff (defect <= SYM_RTOL (1 + ||F||_F)), and the extreme eigenvalues
-    dmax, dmin of its symmetric part. The SPD certificate is
-    ``symmetric & _spd_ok(dmax, dmin)``. A matrix with an entry of 1 or more
-    is measured in units of a power of two near its largest, so the squares
-    in the norms cannot overflow; below 1 the "1 +" keeps its meaning.
-    """
+def _sym_check(F) -> tuple:
+    """Symmetry check of a stack F (..., n, n), safe at every scale: each
+    matrix's Frobenius symmetry defect, whether it is symmetric to roundoff
+    (defect <= SYM_RTOL (1 + ||F||_F)), and the exponents ex and the stack
+    Fs = F / 2^ex it is measured in: 2^ex is a power of two near the largest
+    entry when that is 1 or more, so the squares in the norms cannot
+    overflow; below 1 the "1 +" keeps its meaning."""
     ex = np.maximum(0, np.frexp(np.max(np.abs(F), axis=(-2, -1)))[1])
     Fs = np.ldexp(F, -ex[..., None, None])
-    FsT = np.swapaxes(Fs, -1, -2)
-    defect = np.linalg.norm(Fs - FsT, axis=(-2, -1))
+    defect = np.linalg.norm(Fs - np.swapaxes(Fs, -1, -2), axis=(-2, -1))
     symmetric = defect <= SYM_RTOL * (
         np.ldexp(1.0, -ex) + np.linalg.norm(Fs, axis=(-2, -1))
     )
-    d = np.ldexp(np.linalg.eigvalsh((Fs + FsT) / 2.0), ex[..., None])
-    return np.ldexp(defect, ex), symmetric, d[..., -1], d[..., 0]
+    return np.ldexp(defect, ex), symmetric, ex, Fs
+
+
+def _sym_spd(F) -> tuple:
+    """Symmetry and SPD checks of a stack F (..., n, n), safe at every scale:
+    _sym_check's defect and verdict, and the extreme eigenvalues dmax, dmin
+    of each symmetric part. The SPD certificate is
+    ``symmetric & _spd_ok(dmax, dmin)``."""
+    defect, symmetric, ex, Fs = _sym_check(F)
+    d = np.linalg.eigvalsh((Fs + np.swapaxes(Fs, -1, -2)) / 2.0)
+    d = np.ldexp(d, ex[..., None])
+    return defect, symmetric, d[..., -1], d[..., 0]
 
 
 def _require_symmetric(S, name="matrix") -> np.ndarray:
     S = _as_square(S, name)
-    defect, symmetric, _, _ = _sym_spd(S)
+    defect, symmetric, _, _ = _sym_check(S)
     if not symmetric:
         raise InvalidInput(f"{name} is not symmetric (defect {defect:.3e})")
     # Hand the eigensolver the exactly symmetric part, not just one triangle.

@@ -103,16 +103,22 @@ class ChainParams:
 
 @dataclass
 class FactorChain:
-    """Ordered SPD factors, applied right to left: product = M_k ... M_1."""
+    """Ordered SPD factors, applied right to left: product = M_k ... M_1.
+    factors is any iterable of equal-sized square matrices, such as a
+    (k, n, n) array."""
 
     factors: list
     params: ChainParams | None = None
     n: int = field(init=False)
 
     def __post_init__(self):
-        if not self.factors:
+        try:
+            factors = list(self.factors)
+        except TypeError as err:
+            raise InvalidInput("factors must be an iterable of matrices") from err
+        if not factors:
             raise InvalidInput("factor chain is empty")
-        mats = [_as_square(M, "chain factor") for M in self.factors]
+        mats = [_as_square(M, "chain factor") for M in factors]
         n = mats[0].shape[0]
         for M in mats:
             if M.shape[0] != n:
@@ -152,10 +158,15 @@ def rotation2(theta) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
+def _as_chain(chain) -> FactorChain:
+    """chain if it is a FactorChain, else a checked FactorChain of it."""
+    return chain if isinstance(chain, FactorChain) else FactorChain(factors=chain)
+
+
 def chain_product(factors) -> np.ndarray:
     """Multiply factors right to left (factors[0] acts first), checked as
     a FactorChain checks them."""
-    return FactorChain(factors=list(factors)).product()
+    return FactorChain(factors=factors).product()
 
 
 def _coerce_params(p) -> ChainParams:
@@ -277,8 +288,7 @@ def net_rotation(chain: FactorChain) -> float:
     Raises NotARotation if the product is not close to an orthogonal
     matrix with determinant +1.
     """
-    if not isinstance(chain, FactorChain):
-        chain = FactorChain(factors=list(chain))
+    chain = _as_chain(chain)
     if chain.n != 2:
         raise DimensionMismatch("net rotation is defined for 2x2 chains")
     P = chain.product()

@@ -11,6 +11,7 @@ import pytest
 from pdfactor import cli, errors
 from pdfactor.cli import load_chain, load_matrix, main, save_chain, save_matrix
 from pdfactor.errors import InvalidInput, NotPositiveDefinite
+from pdfactor.planar import phi_sweep
 
 from _helpers import hilbert, rng
 
@@ -262,6 +263,15 @@ class TestMatrixFileFormat:
             save_matrix(str(second), loaded)
             assert second.read_bytes() == first.read_bytes()
 
+    def test_file_bytes(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_matrix(str(path), [[1.0, -0.5], [1e-300, 3.0]])
+        assert path.read_bytes() == b'{"n": 2, "data": [1.0, -0.5, 1e-300, 3.0]}\n'
+
+    def test_empty_path_is_os_error(self):
+        with pytest.raises(OSError):
+            save_matrix("", np.eye(2))
+
 
 class TestSweepCommand:
     def test_unit_lambda_is_flat(self, capsys):
@@ -316,6 +326,37 @@ class TestSweepCommand:
         raw = out.read_bytes()
         assert b"\r" not in raw
         assert raw.decode("utf-8").splitlines()[0] == "theta_deg,lambda,phi_deg"
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_bytes_match_per_row_reference(self, tmp_path, capsys, to_file):
+        # The command formats each lambda's block with one %; this per-row
+        # loop is the reference, and the bytes must be the same. The lambda
+        # values include 1 (a flat curve of exact zeros) and a non-integer.
+        lams, k, theta_max, steps = [1.0, 2.5, 30.0, 1.0000001], 5, 170.0, 1777
+        deg = math.pi / 180.0
+        lines = ["theta_deg,lambda,phi_deg"]
+        for lam in lams:
+            table = phi_sweep(lam, k, theta_max * deg, steps)
+            for th, ph in zip(table.theta, table.phi):
+                lines.append("%.17g,%.17g,%.17g" % (th / deg, lam, ph / deg))
+        reference = ("\n".join(lines) + "\n").encode("utf-8")
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--k", str(k), "--lambda", "1,2.5", "--lambda", "30",
+                "--lambda", "1.0000001", "--theta-max", str(theta_max),
+                "--steps", str(steps)]
+        rc = main(argv + (["--output", str(out)] if to_file else []))
+        assert rc == 0
+        captured = capsys.readouterr().out
+        got = out.read_bytes() if to_file else captured.encode("utf-8")
+        assert got == reference
+
+    def test_empty_output_path_means_stdout(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["sweep", "--k", "3", "--lambda", "2", "--steps", "10",
+                   "--output", ""])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("theta_deg,lambda,phi_deg\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_lambda_flag(self, capsys):
         rc = main(["sweep", "--k", "3"])

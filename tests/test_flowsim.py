@@ -151,6 +151,15 @@ class TestSimulate:
         for it in range(traj.sample_count):
             assert np.array_equal(traj.positions[it], cloud.positions)
 
+    def test_trajectory_owns_its_arrays(self):
+        # simulate samples the cloud's own array without copying it; the
+        # trajectory must still not write through to the cloud.
+        start = np.array([[1.0, 0.0], [0.3, -0.7]])
+        cloud = ParticleCloud(start)
+        traj = simulate([FlowSegment(np.zeros((2, 2)), 1.0)], cloud, dt=0.5)
+        traj.positions[:] = 7.0
+        assert np.array_equal(cloud.positions, start)
+
     def test_intro_chain_rotates_basepoint(self):
         segs = segments_from_chain(FactorChain(INTRO_FACTORS))
         traj = simulate(segs, ParticleCloud(np.array([1.0, 0.0])), dt=1e-3)
@@ -381,7 +390,7 @@ class TestCsvExport:
     @pytest.mark.parametrize("T, N, n", [(700, 7, 3), (3, 4100, 2)],
                              ids=["blocks_of_steps", "particles_past_block"])
     def test_bytes_match_per_row_reference(self, tmp_path, T, N, n):
-        # The writer formats blocks of rows through np.savetxt; this per-row
+        # The writer formats blocks of rows with one % each; this per-row
         # writer is the reference, and the two files must have the same
         # sha256. The shapes cross block boundaries, and one has more
         # particles than a block has rows.

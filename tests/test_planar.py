@@ -585,3 +585,26 @@ class TestFactorChainType:
     def test_chain_product_checks_factors(self, factors, error):
         with pytest.raises(error):
             chain_product(factors)
+
+    @pytest.mark.parametrize("call", [
+        lambda: FactorChain(factors=np.eye(2)),
+        lambda: FactorChain(factors=5),
+        lambda: FactorChain(factors=np.empty((0, 2, 2))),
+        lambda: chain_product(None),
+        lambda: verify(5, np.eye(2), 1e-8),
+        lambda: net_rotation(None),
+        lambda: segments_from_chain(3.0),
+    ], ids=["matrix_not_stack", "number", "empty_stack", "chain_product_none",
+            "verify_number", "net_rotation_none", "segments_number"])
+    def test_non_chains_are_invalid_input(self, call):
+        # Every entry point converts its chain through FactorChain, which
+        # turns a non-iterable or a bare matrix into InvalidInput.
+        with pytest.raises(InvalidInput):
+            call()
+
+    def test_stack_is_a_chain_of_its_matrices(self):
+        stack = np.stack([np.eye(2), np.diag([2.0, 0.5]), np.eye(2)])
+        chain = FactorChain(factors=stack)
+        assert len(chain.factors) == 3 and chain.n == 2
+        assert_allclose(chain.product(), np.diag([2.0, 0.5]), atol=0)
+        assert verify(stack, np.diag([2.0, 0.5]), 1e-12).passed
