@@ -31,7 +31,13 @@ from .planar import (
     build_chain,
     plan_scheme,
 )
-from .spectral import _blocks_in_identity, _planes, block_diagonalize
+from .spectral import (
+    _blocks_in_identity,
+    _pair_rows,
+    _require_det_one,
+    _special_orthogonal,
+    _split,
+)
 
 __all__ = [
     "FactorOptions",
@@ -141,24 +147,23 @@ def factor_orthogonal(V, opts: FactorOptions | None = None) -> FactorChain:
     the i-th factor of every plane. All planes are planned and built at
     once, and all stages assembled by one stacked product.
 
-    Raises NotOrthogonal or NegativeDeterminant (from block_diagonalize)
+    Raises NotOrthogonal or NegativeDeterminant (as block_diagonalize does)
     for inputs outside SO(n), TargetUnreachable or NumericalFailure (from
     the plans and chains) for the largest angle that fails.
     """
     opts = _options(opts)
-    decomp = block_diagonalize(V)
-    return FactorChain._trusted(_stages(decomp, opts) or [np.eye(decomp.n)])
+    V = _special_orthogonal(V)
+    return FactorChain._trusted(_stages(*_split(V), opts) or [np.eye(V.shape[0])])
 
 
-def _stages(decomp, opts: FactorOptions) -> list:
-    """The rotation stages U D_i U^T of a decomposition; none without planes."""
-    theta, rows = _planes(decomp)
+def _stages(U, theta, opts: FactorOptions) -> list:
+    """Rotation stages U D_i U^T of a split U, theta; none without planes."""
     if not theta.size:
         return []
     k = opts.k_rotation
     a, b, d = _chain_factors(*_plan(theta, k, opts.lam_budget), k)
-    D = _blocks_in_identity(decomp.n, rows, a, b, b, d)
-    N = decomp.U @ D @ decomp.U.T
+    D = _blocks_in_identity(U.shape[0], _pair_rows(theta.size), a, b, b, d)
+    N = U @ D @ U.T
     return list((N + N.transpose(0, 2, 1)) / 2.0)
 
 
@@ -171,16 +176,17 @@ def factor_matrix(Phi, opts: FactorOptions | None = None) -> FactorChain:
     near-identity S.
     """
     opts = _options(opts)
-    Phi = _as_square(Phi, "factor_matrix input")
-    n = Phi.shape[0]
-    # polar rejects a numerically singular input first; past that gate
-    # det V = +-1 carries the sign of det Phi reliably at every scale.
+    # polar validates Phi and rejects a numerically singular input first;
+    # past that gate det V = +-1 carries the sign of det Phi reliably at
+    # every scale; V is orthogonal by construction, so det V = 1 puts it in SO(n).
     V, S = polar(Phi)
-    if np.linalg.det(V) < 0.0:
+    det = float(np.linalg.det(V))
+    if det < 0.0:
         raise NonPositiveDeterminant(
             "determinant not positive; a product of SPD factors "
             "always has positive determinant"
         )
+    _require_det_one(det)
     # The stretch is a factor of the chain, so it must pass the same SPD
     # certificate as verify applies; its eigenvalue ratio is that of Phi.
     # S is exactly symmetric, and LAPACK scales it internally at any scale.
@@ -191,8 +197,8 @@ def factor_matrix(Phi, opts: FactorOptions | None = None) -> FactorChain:
             f"the stretch has condition number {kappa:.3e}, at or past "
             f"the SPD certificate's limit {1.0 / SPD_RTOL:.0e}"
         )
-    stages = _stages(block_diagonalize(V), opts)
-    D = S - np.eye(n)
+    stages = _stages(*_split(V), opts)
+    D = S - np.eye(V.shape[0])
     # The norm is only taken once every entry is small, so its squares
     # cannot overflow for a huge stretch.
     if stages and np.max(np.abs(D)) <= 1e-10 and _frob(D) <= 1e-10:

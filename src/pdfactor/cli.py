@@ -57,7 +57,7 @@ def _read_json(path, key) -> tuple:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
@@ -213,7 +213,7 @@ def _load_particles(path, n):
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip()
             body = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
     expected = ",".join(f"x{i + 1}" for i in range(n))
     if header.replace(" ", "") != expected:

@@ -21,6 +21,7 @@ exponential realizes a single leg in time t_fn also lives here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -65,11 +66,9 @@ __all__ = [
 # below anything a genuinely non-orthogonal product can reach.
 ROTATION_GATE = 1e-3
 
-# Ratio of plan_scheme's lam grid 1.25^j.
-_LAM_STEP = 1.25
-# Every finite grid value (1.25^3181 overflows), as Python's float power
-# gives it: plans land on exactly these numbers.
-_LAM_GRID = np.array([_LAM_STEP**j for j in range(3181)])
+# Every finite value 1.25^j of plan_scheme's lam grid (1.25^3181
+# overflows), as Python's float power gives it: plans land on exactly these.
+_LAM_GRID = np.array([1.25**j for j in range(3181)])
 # Entries (a, b, d) of a symmetric 2x2 [[a, b], [b, d]], as index arrays.
 _UPPER = ([0, 0, 1], [0, 1, 1])
 
@@ -388,6 +387,15 @@ def solve_theta(lam, k, psi) -> float:
     return float(_tilt(lam, alpha))
 
 
+@functools.lru_cache(maxsize=8)
+def _reach(k: int) -> np.ndarray:
+    """Reach of each grid value for k factors: the largest net angle its
+    chain or a smaller grid value's can give, so nondecreasing (read-only)."""
+    reach = np.maximum.accumulate(_max_phi(_LAM_GRID, k))
+    reach.setflags(write=False)
+    return reach
+
+
 def _plan(psi, k: int, budget: float) -> tuple:
     """The plans of plan_scheme for an array of angles psi in (0, pi], all
     with k factors and one budget: arrays of lam and theta.
@@ -396,21 +404,9 @@ def _plan(psi, k: int, budget: float) -> tuple:
     reach, as plan_scheme does.
     """
     j_top = int(np.searchsorted(_LAM_GRID, budget, side="right")) - 1
-    alpha = psi / (k - 2)
-    open_ = alpha < math.pi / 2.0
-    # tan^2 rounds below 1 where alpha is below about eps; lam_min is 1.
-    tan2 = np.tan(math.pi / 4.0 + np.where(open_, alpha, 0.0) / 2.0) ** 2
-    log_lam_min = np.arccosh(np.maximum(tan2, 1.0))
-    # A grid exponent from a rounded log may sit one step off: start one
-    # step below ceil(log(lam_min) / log(1.25)) and step up each angle
-    # still out of reach, by the test solve_theta applies.
-    j0 = np.maximum(np.ceil(log_lam_min / math.log(_LAM_STEP)) - 1.0, 0.0)
-    j = np.where(open_, j0, j_top + 1).astype(np.intp)
-    while True:
-        short = (j <= j_top) & (_max_phi(_LAM_GRID[np.minimum(j, j_top)], k) < psi)
-        if not short.any():
-            break
-        j += short
+    # The first grid value whose reach covers psi: the first with
+    # _max_phi >= psi, the test solve_theta applies.
+    j = np.searchsorted(_reach(k), psi)
     if j.max() > j_top:
         top = float(_max_phi(_LAM_GRID[j_top], k))
         raise TargetUnreachable(
@@ -419,7 +415,7 @@ def _plan(psi, k: int, budget: float) -> tuple:
             max_phi=top,
         )
     lam = _LAM_GRID[j]
-    return lam, _tilt(lam, alpha)
+    return lam, _tilt(lam, psi / (k - 2))
 
 
 def plan_scheme(psi, k, lam_budget) -> ChainParams:
@@ -427,10 +423,11 @@ def plan_scheme(psi, k, lam_budget) -> ChainParams:
 
     The largest reachable angle grows with lam and reaches psi from
     lam_min = exp(acosh(tan^2(pi/4 + alpha/2))), alpha = psi/(k-2), on.
-    The plan takes the first value of the grid 1.25^j at or above lam_min
-    and the matching theta. Conditioning is the user-facing cost, so the
-    grid caps its granularity at 25 percent; finer lam resolution buys
-    nothing.
+    The plan takes the first value of the grid 1.25^j whose largest net
+    angle, as evaluated, reaches psi (one lookup in a per-k table of those
+    angles), and the matching theta. Conditioning is the user-facing cost,
+    so the grid caps its granularity at 25 percent; finer lam resolution
+    buys nothing.
 
     Raises TargetUnreachable, with the largest angle reachable on the grid
     within the budget in ``max_phi``, when that grid value exceeds

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 ORTHO_TOL = 1e-8
+BASIS_TOL = 1e-10  # orthogonality defect allowed in a decomposition basis U
 # The reassembled U D U^T must reproduce V within this, and each of the two
 # misreadings below may cost at most a hundredth of it.
 REASSEMBLY_GATE = 1e-9
@@ -85,11 +86,7 @@ class OrthogonalDecomposition:
     def __post_init__(self):
         self.U = _as_square(self.U, "decomposition basis")
         self.n = self.U.shape[0]
-        defect = _frob(self.U.T @ self.U - np.eye(self.n))
-        if defect > 1e-10:
-            raise NotOrthogonal(
-                f"decomposition basis has orthogonality defect {defect:.3e}"
-            )
+        _require_orthogonal(self.U, BASIS_TOL, "decomposition basis")
         seen = set()
         for b in self.blocks:
             rows = b.rows if isinstance(b, RotationBlock) else (b.row,)
@@ -97,6 +94,30 @@ class OrthogonalDecomposition:
                 if not 0 <= i < self.n or i in seen:
                     raise InvalidInput(f"block rows invalid or overlapping: {i}")
                 seen.add(i)
+
+
+def _require_orthogonal(X, tol: float, what: str) -> None:
+    """Raise NotOrthogonal unless ||X^T X - I||_F <= tol."""
+    defect = _frob(X.T @ X - np.eye(X.shape[0]))
+    if defect > tol:
+        raise NotOrthogonal(f"{what} has orthogonality defect {defect:.3e}")
+
+
+def _require_det_one(det: float) -> None:
+    """Raise NegativeDeterminant unless det is 1 to ORTHO_TOL."""
+    if abs(det - 1.0) > ORTHO_TOL:
+        raise NegativeDeterminant(
+            f"input has determinant {det:.6f}; only det +1 decomposes "
+            "into rotation blocks"
+        )
+
+
+def _special_orthogonal(V) -> np.ndarray:
+    """V as a float array, checked to lie in SO(n) to ORTHO_TOL."""
+    V = _as_square(V, "block_diagonalize input")
+    _require_orthogonal(V, ORTHO_TOL, "input")
+    _require_det_one(float(np.linalg.det(V)))
+    return V
 
 
 def block_diagonalize(V) -> OrthogonalDecomposition:
@@ -108,18 +129,20 @@ def block_diagonalize(V) -> OrthogonalDecomposition:
 
     Raises NotOrthogonal or NegativeDeterminant for inputs outside SO(n).
     """
-    V = _as_square(V, "block_diagonalize input")
-    n = V.shape[0]
-    defect = _frob(V.T @ V - np.eye(n))
-    if defect > ORTHO_TOL:
-        raise NotOrthogonal(f"input has orthogonality defect {defect:.3e}")
-    det = float(np.linalg.det(V))
-    if abs(det - 1.0) > ORTHO_TOL:
-        raise NegativeDeterminant(
-            f"input has determinant {det:.6f}; only det +1 decomposes "
-            "into rotation blocks"
-        )
+    U, theta = _split(_special_orthogonal(V))
+    blocks = [
+        RotationBlock(theta=t, rows=(2 * i, 2 * i + 1))
+        for i, t in enumerate(theta.tolist())
+    ]
+    blocks += [UnitBlock(row=j) for j in range(2 * theta.size, U.shape[0])]
+    return OrthogonalDecomposition(U=U, blocks=blocks)
 
+
+def _split(V) -> tuple:
+    """Basis U and descending angles theta of V in SO(n): plane i acts on
+    columns 2i, 2i + 1 of U, the fixed axes follow. Raises NotOrthogonal or
+    NumericalFailure unless U is orthogonal and U D U^T reproduces V."""
+    n = V.shape[0]
     # Ascending cosines; the identity's eigenvectors come back exactly as I.
     cosines, Q = np.linalg.eigh((V + V.T) / 2.0)
     W = Q.T @ V @ Q
@@ -196,18 +219,14 @@ def block_diagonalize(V) -> OrthogonalDecomposition:
     rotations = np.concatenate(pairs, axis=1).reshape(n, -1, 2)[:, order]
     units = axes[:, axis_cos > 0.0]
     U = np.concatenate([rotations.reshape(n, -1), units], axis=1)
-    blocks = [
-        RotationBlock(theta=t, rows=(2 * i, 2 * i + 1))
-        for i, t in enumerate(theta[order].tolist())
-    ]
-    blocks += [UnitBlock(row=2 * len(order) + j) for j in range(units.shape[1])]
-    decomp = OrthogonalDecomposition(U=U, blocks=blocks)
-    if _frob(assemble(decomp) - V) > REASSEMBLY_GATE:
+    theta = theta[order]
+    _require_orthogonal(U, BASIS_TOL, "decomposition basis")
+    if _frob(_rebuild(U, theta, _pair_rows(theta.size)) - V) > REASSEMBLY_GATE:
         raise NumericalFailure(
             "reassembled decomposition does not reproduce the input; "
             "eigenvalue clusters are too entangled"
         )
-    return decomp
+    return U, theta
 
 
 def _planes(d: OrthogonalDecomposition) -> tuple:
@@ -234,11 +253,20 @@ def _blocks_in_identity(n: int, rows, m00, m01, m10, m11) -> np.ndarray:
     return D
 
 
+def _pair_rows(planes: int) -> np.ndarray:
+    """Row pairs (planes, 2) of planes on consecutive rows from row 0."""
+    return np.arange(2 * planes).reshape(-1, 2)
+
+
+def _rebuild(U, theta, rows) -> np.ndarray:
+    """U D U^T, D the rotations by theta on the row pairs rows."""
+    c, s = np.cos(theta), np.sin(theta)
+    return U @ _blocks_in_identity(U.shape[0], rows, c, s, -s, c) @ U.T
+
+
 def assemble(d: OrthogonalDecomposition) -> np.ndarray:
     """Rebuild U D U^T from a decomposition; rows not covered by any
     block act as identity."""
     if not isinstance(d, OrthogonalDecomposition):
         raise InvalidInput("assemble expects an OrthogonalDecomposition")
-    theta, rows = _planes(d)
-    c, s = np.cos(theta), np.sin(theta)
-    return d.U @ _blocks_in_identity(d.n, rows, c, s, -s, c) @ d.U.T
+    return _rebuild(d.U, *_planes(d))

@@ -390,6 +390,28 @@ class TestFactorMatrix:
         with pytest.raises(InvalidInput):
             factor_matrix(np.ones((2, 3)))
 
+    def test_one_call_of_each_linalg_routine(self, monkeypatch):
+        # On a generic input the factor path takes one SVD (polar), one det
+        # (the sign and SO(n) gates), one eigvalsh (the stretch certificate)
+        # and one eigh (the rotation split), and no norm; verify takes one
+        # stacked eigvalsh.
+        Phi = rng(70).standard_normal((6, 6))
+        if np.linalg.det(Phi) < 0.0:
+            Phi[0] = -Phi[0]
+        calls = {}
+        for name in ("svd", "eigh", "eigvalsh", "det", "slogdet", "norm",
+                     "qr", "solve", "inv"):
+            def counted(*args, _name=name, _routine=getattr(np.linalg, name), **kw):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _routine(*args, **kw)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        chain = factor_matrix(Phi)
+        assert calls == {"svd": 1, "eigh": 1, "eigvalsh": 1, "det": 1}
+        calls.clear()
+        assert verify(chain, Phi, 1e-8).passed
+        assert calls["eigvalsh"] == 1
+
 
 class TestVerify:
     def test_identity_chain_passes(self):

@@ -530,6 +530,30 @@ class TestErrorMapping:
         assert capsys.readouterr().err == "error: boom\n"
 
 
+    @pytest.mark.parametrize("command", ["factor", "verify", "simulate"])
+    def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys, command):
+        # A matrix or chain file that starts with the bytes FF FE, or a
+        # particle CSV with a 0xFF byte, is invalid input: exit 1 and one
+        # error line, not a UnicodeDecodeError traceback.
+        utf16 = tmp_path / "utf16.json"
+        utf16.write_bytes(b"\xff\xfe" + json.dumps({"n": 1, "data": [1.0]}).encode("utf-16-le"))
+        particles = tmp_path / "p.csv"
+        particles.write_bytes(b"x1,x2\n1,\xff\n")
+        chain = write_chain(tmp_path / "c.json", [[1.0, 0.0, 0.0, 1.0]])
+        argv = {
+            "factor": ["factor", str(utf16)],
+            "verify": ["verify", "--chain", str(utf16), "--target",
+                       write_matrix(tmp_path / "t.json", np.eye(2))],
+            "simulate": ["simulate", "--chain", chain, "--particles",
+                         str(particles), "--out-prefix", str(tmp_path / "x")],
+        }[command]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: cannot read") and "utf-8" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

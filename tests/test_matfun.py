@@ -13,7 +13,16 @@ from pdfactor.errors import (
 )
 from pdfactor.ballantine import factor_matrix, verify
 from pdfactor.flowsim import ParticleCloud, Trajectory
-from pdfactor.matfun import cond, expm, polar, spd_log, spd_sqrt, sym_eig, sym_exp
+from pdfactor.matfun import (
+    _frob,
+    cond,
+    expm,
+    polar,
+    spd_log,
+    spd_sqrt,
+    sym_eig,
+    sym_exp,
+)
 from pdfactor.planar import FactorChain
 from pdfactor.transport import ot_map
 
@@ -351,3 +360,19 @@ class TestCond:
         S = random_spd(rng(13), 6, cond_max=500.0)
         w = np.linalg.eigvalsh(S)
         assert_allclose(cond(S), w[-1] / w[0], rtol=1e-10)
+
+
+class TestFrob:
+    def test_bitwise_equal_to_numpy_fro_norm(self):
+        # _frob is numpy's "fro" code path without its wrapper: equal bit for
+        # bit on C-order, transposed and reversed views, also where the
+        # squares overflow (1e200) or underflow (1e-200).
+        r = rng(71)
+        for _ in range(50):
+            A = r.standard_normal(tuple(r.integers(1, 9, 2)))
+            for scale in (1.0, 1e200, 1e-200):
+                B = A * scale
+                for view in (B, B.T, B[::-1, ::-1]):
+                    with np.errstate(over="ignore", under="ignore"):
+                        got, want = _frob(view), np.linalg.norm(view, "fro")
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -19,7 +19,9 @@ from pdfactor.matfun import SPD_RTOL, expm, spd_sqrt
 from pdfactor.planar import (
     ChainParams,
     FactorChain,
+    _LAM_GRID,
     _chain_factors,
+    _max_phi,
     build_chain,
     chain_covariances,
     chain_product,
@@ -487,6 +489,33 @@ class TestPlanScheme:
             assert info.value.max_phi == pytest.approx(
                 peak(1.25 ** (j - 1), k), rel=1e-12
             )
+
+    def test_plans_match_a_scan_from_the_first_grid_value(self):
+        # At the largest net angle of each of the first 400 grid values, and
+        # one ulp either side of it, the plan is the first grid value from
+        # j = 0 on whose largest net angle reaches psi (the scan above, on
+        # the closed form as evaluated); past the budget, max_phi is that
+        # angle at the largest grid value within it.
+        for k in range(3, 10):
+            peaks = _max_phi(_LAM_GRID, k).tolist()
+            targets = {
+                float(psi)
+                for peak in peaks[:400]
+                for psi in (np.nextafter(peak, -np.inf), peak, np.nextafter(peak, np.inf))
+                if 0.0 <= psi <= math.pi
+            }
+            for psi in sorted(targets):
+                j = 0
+                while j < len(peaks) and peaks[j] < psi:
+                    j += 1
+                for budget in (1000.0, 1e300):
+                    j_top = int(np.searchsorted(_LAM_GRID, budget, side="right")) - 1
+                    if j <= j_top:
+                        assert plan_scheme(psi, k, budget).lam == _LAM_GRID[j]
+                        continue
+                    with pytest.raises(TargetUnreachable) as info:
+                        plan_scheme(psi, k, budget)
+                    assert info.value.max_phi == peaks[j_top]
 
     def test_angles_below_the_rounding_of_tan(self):
         # tan^2(pi/4 + alpha/2) rounds below 1 for alpha under about eps;
