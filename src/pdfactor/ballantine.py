@@ -21,7 +21,9 @@ from .errors import (
     NonPositiveDeterminant,
     NumericalFailure,
 )
-from .matfun import SPD_RTOL, _as_square, _frob, _real, _spd_ok, _sym_spd, polar
+from .matfun import (
+    SPD_RTOL, _as_square, _frob, _positive, _real, _spd_ok, _sym_spd, polar,
+)
 from .planar import (
     FactorChain,
     _as_chain,
@@ -57,10 +59,10 @@ class FactorOptions:
     k_rotation is the factor count per rotation stage (5 covers every
     angle including half turns; more factors allow smaller lam), lam_budget
     caps the scale lam of every planned scheme, tol_verify is the residual
-    gate that ``pdfactor factor`` verifies its chain against. lam is the
-    condition number of a plane's first factor only: the others reach up
-    to about lam^2, and the polar stretch keeps the input's condition.
-    verify reports every factor's condition.
+    gate that ``pdfactor factor`` verifies its chain against, positive like
+    verify's tol. lam is the condition number of a plane's first factor
+    only: the others reach up to about lam^2, and the polar stretch keeps
+    the input's condition. verify reports every factor's condition.
     """
 
     k_rotation: int = 5
@@ -71,9 +73,7 @@ class FactorOptions:
         self.k_rotation, self.lam_budget = _check_scheme(
             self.k_rotation, self.lam_budget, "k_rotation", "lam_budget"
         )
-        self.tol_verify = _real(self.tol_verify, "tol_verify")
-        if self.tol_verify <= 0.0:
-            raise InvalidParams("tol_verify must be positive")
+        self.tol_verify = _positive(self.tol_verify, "tol_verify")
 
 
 def _options(opts) -> FactorOptions:
@@ -216,7 +216,7 @@ def verify(chain, target, tol) -> VerificationReport:
     """
     chain = _as_chain(chain)
     target = _as_square(target, "verify target")
-    tol = _real(tol, "tol")
+    tol = _positive(tol, "tol")
     if target.shape[0] != chain.n:
         raise DimensionMismatch(
             f"chain is {chain.n}x{chain.n}, target {target.shape[0]}x"

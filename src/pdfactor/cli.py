@@ -77,9 +77,7 @@ def _shape_matrix(flat, n, what):
     arr = _floats(flat, f"{what}: entries", copy=None)
     if arr.ndim != 1 or arr.size != n * n:
         raise InvalidInput(f"{what}: expected {n * n} entries, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"{what}: entries must be finite")
-    return arr.reshape(n, n)
+    return _as_square(arr.reshape(n, n), what)
 
 
 def _write(path, text) -> None:
@@ -94,11 +92,15 @@ def load_matrix(path) -> np.ndarray:
     return _shape_matrix(data, n, path)
 
 
+def _matrix_json(M) -> str:
+    """The JSON document of a square float array, as load_matrix reads it."""
+    return json.dumps({"n": M.shape[0], "data": M.ravel().tolist()}) + "\n"
+
+
 def save_matrix(path, M) -> None:
     """Write M for load_matrix. Raises InvalidInput, and writes nothing,
     unless M is a finite square matrix."""
-    M = _as_square(M, "matrix")
-    _write(path, json.dumps({"n": M.shape[0], "data": M.ravel().tolist()}) + "\n")
+    _write(path, _matrix_json(_as_square(M, "matrix")))
 
 
 def load_chain(path) -> FactorChain:
@@ -121,7 +123,7 @@ def load_chain(path) -> FactorChain:
     meta = doc.get("meta")
     if isinstance(meta, dict) and {"lambda", "theta_rad", "k"} <= set(meta):
         params = ChainParams(meta["lambda"], meta["theta_rad"], meta["k"])
-    return FactorChain(factors, params=params)
+    return FactorChain._trusted(factors, params)
 
 
 def save_chain(path, chain: FactorChain) -> None:
@@ -152,6 +154,12 @@ def _emit(text) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
 
 
+def _emit_report(report) -> int:
+    """Print a verification report as JSON; exit code 0 if it passed, else 3."""
+    _emit(json.dumps(report.as_dict(), indent=2) + "\n")
+    return 0 if report.passed else 3
+
+
 def _parse_float_list(values, what):
     out = []
     for chunk in values:
@@ -179,8 +187,7 @@ def cmd_factor(args) -> int:
     report = verify(chain, Phi, opts.tol_verify)
     if args.output:
         save_chain(args.output, chain)
-    _emit(json.dumps(report.as_dict(), indent=2) + "\n")
-    return 0 if report.passed else 3
+    return _emit_report(report)
 
 
 def cmd_sweep(args) -> int:
@@ -203,9 +210,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     chain = load_chain(args.chain)
     target = load_matrix(args.target)
-    report = verify(chain, target, args.tol)
-    _emit(json.dumps(report.as_dict(), indent=2) + "\n")
-    return 0 if report.passed else 3
+    return _emit_report(verify(chain, target, args.tol))
 
 
 def _load_particles(path, n):
@@ -246,8 +251,7 @@ def cmd_simulate(args) -> int:
     segments = segments_from_chain(chain, durations)
     trajectory = simulate(segments, ParticleCloud(positions), dt=args.dt)
     write_trajectory_csv(trajectory, args.out_prefix)
-    P = transition_matrix(segments)
-    _emit(json.dumps({"n": int(P.shape[0]), "data": P.ravel().tolist()}) + "\n")
+    _emit(_matrix_json(transition_matrix(segments)))
     return 0
 
 

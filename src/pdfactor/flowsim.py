@@ -19,10 +19,9 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidInput,
-    InvalidParams,
     InvalidStep,
 )
-from .matfun import _floats, _real, _require_symmetric, expm, spd_log
+from .matfun import _floats, _positive, _real, _require_symmetric, expm, spd_log
 from .planar import _as_chain
 
 __all__ = [
@@ -40,13 +39,6 @@ __all__ = [
 _REMAINDER_TOL = 1e-12
 
 
-def _duration(value) -> float:
-    d = _real(value, "duration")
-    if d <= 0.0:
-        raise InvalidParams(f"duration must be positive, got {d}")
-    return d
-
-
 @dataclass
 class FlowSegment:
     """Constant symmetric generator driving x' = A x for a fixed duration."""
@@ -56,7 +48,7 @@ class FlowSegment:
 
     def __post_init__(self):
         self.A = _require_symmetric(self.A, "flow generator")
-        self.duration = _duration(self.duration)
+        self.duration = _positive(self.duration, "duration")
 
     @property
     def n(self) -> int:
@@ -144,7 +136,7 @@ def segments_from_chain(chain, durations=None) -> list:
     durs = [1.0] * k if durations is None else list(durations)
     if len(durs) != k:
         raise DimensionMismatch(f"{len(durs)} durations for {k} factors")
-    durs = [_duration(d) for d in durs]
+    durs = [_positive(d, "duration") for d in durs]
     return [FlowSegment(spd_log(M) / d, d) for M, d in zip(chain.factors, durs)]
 
 
@@ -191,9 +183,7 @@ def simulate(segments, cloud, dt=1e-3) -> Trajectory:
         raise DimensionMismatch(
             f"cloud dimension {cloud.n} does not match generators ({n})"
         )
-    dt = _real(dt, "dt", InvalidStep)
-    if dt <= 0.0:
-        raise InvalidStep(f"dt must be positive, got {dt}")
+    dt = _positive(dt, "dt", InvalidStep)
     shortest = min(seg.duration for seg in segs)
     if dt > shortest:
         raise InvalidStep(

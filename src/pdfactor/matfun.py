@@ -75,7 +75,7 @@ def _as_square(A, name="matrix") -> np.ndarray:
 
 def _real(value, name, exc=InvalidParams) -> float:
     """A scalar parameter as a finite float; raises exc naming it otherwise.
-    Callers test the range themselves."""
+    Callers test the range themselves, or use _positive or _integer."""
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError) as err:
@@ -83,6 +83,22 @@ def _real(value, name, exc=InvalidParams) -> float:
     if not math.isfinite(x):
         raise exc(f"{name} must be finite, got {x}")
     return x
+
+
+def _positive(value, name, exc=InvalidParams) -> float:
+    """_real for a parameter that must be > 0."""
+    x = _real(value, name, exc)
+    if x <= 0.0:
+        raise exc(f"{name} must be positive, got {x}")
+    return x
+
+
+def _integer(value, name, least) -> int:
+    """_real for a parameter that must be an integer >= least, as an int."""
+    x = _real(value, name)
+    if not x.is_integer() or x < least:
+        raise InvalidParams(f"{name} must be an integer >= {least}, got {value}")
+    return int(x)
 
 
 def _frob(A) -> float:

@@ -21,7 +21,6 @@ exponential realizes a single leg in time t_fn also lives here.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,6 +38,8 @@ from .matfun import (
     _as_square,
     _certify_spd,
     _frob,
+    _integer,
+    _positive,
     _real,
     _require_symmetric,
     _spd_ok,
@@ -78,13 +79,11 @@ def _check_scheme(k, lam, k_name="k", lam_name="lam") -> tuple:
 
     Returns them as (int, float); raises InvalidParams otherwise.
     """
-    kf = _real(k, k_name)
+    kf = _integer(k, k_name, 3)
     lamf = _real(lam, lam_name)
-    if not kf.is_integer() or kf < 3:
-        raise InvalidParams(f"{k_name} must be an integer >= 3, got {k}")
     if lamf < 1.0:
         raise InvalidParams(f"{lam_name} must be >= 1, got {lam}")
-    return int(kf), lamf
+    return kf, lamf
 
 
 @dataclass
@@ -320,6 +319,25 @@ def _max_phi(lam, k: int):
     return (k - 2) * np.arctan(d / (2.0 * np.sqrt(c)))
 
 
+# Largest net angle of 3 factors at each grid value or a smaller one. Times
+# k - 2 it is the k-factor reach bit for bit: rounding x (k - 2) is monotone.
+_REACH3 = np.maximum.accumulate(_max_phi(_LAM_GRID, 3))
+_REACH3.setflags(write=False)
+
+
+def _require_reach(psi, k: int, top, max_phi, at: str, lam) -> None:
+    """The reach rule: k factors reach psi > 0 iff alpha = psi/(k-2) < pi/2
+    and psi <= top, their largest net angle, which can round up to psi at
+    alpha = pi/2. Raises TargetUnreachable with max_phi, naming the lam at
+    which they fall short (at, then lam), if they do not."""
+    far = psi / (k - 2) >= math.pi / 2.0
+    if not far and psi <= top:
+        return
+    at = "every lam, as angle/(k-2) >= pi/2" if far else f"{at}{lam:.6g}"
+    msg = f"net angle {psi:.6g} is out of reach of k={k} factors at {at}"
+    raise TargetUnreachable(f"{msg} (max {max_phi:.6g})", max_phi=max_phi)
+
+
 def _tilt(lam, alpha):
     """Smallest theta with net angle (k-2) alpha > 0 at lam (elementwise):
     t = tan(theta) is the smaller root of c tan(alpha) t^2 - (1-c) t +
@@ -341,14 +359,8 @@ def phi_sweep(lam, k, theta_max, steps) -> SweepTable:
     read by interpolation.
     """
     k, lam = _check_scheme(k, lam)
-    theta_max = _real(theta_max, "theta_max")
-    if theta_max <= 0.0:
-        raise InvalidParams(f"theta_max must be positive, got {theta_max}")
-    steps = _real(steps, "steps")
-    if not steps.is_integer() or steps < 2:
-        raise InvalidParams(f"steps must be an integer >= 2, got {steps:g}")
-    steps = int(steps)
-
+    theta_max = _positive(theta_max, "theta_max")
+    steps = _integer(steps, "steps", 2)
     grid = np.linspace(0.0, theta_max, steps)
     c, d = _c_terms(lam)
     s, co = np.sin(grid), np.cos(grid)
@@ -367,8 +379,8 @@ def solve_theta(lam, k, psi) -> float:
 
     Inverts the closed form exactly, with alpha = psi/(k-2) (see _tilt).
 
-    Raises TargetUnreachable, with the largest reachable angle
-    (k-2) atan((1-c) / (2 sqrt(c))) in ``max_phi``, when psi exceeds it.
+    Raises TargetUnreachable, unless psi passes plan_scheme's reach rule,
+    with the largest reachable angle (k-2) atan((1-c) / (2 sqrt(c))) in max_phi.
     """
     k, lam = _check_scheme(k, lam)
     psi = _real(psi, "target angle")
@@ -377,43 +389,21 @@ def solve_theta(lam, k, psi) -> float:
     if psi == 0.0:
         return 0.0
     top = float(_max_phi(lam, k))
-    alpha = psi / (k - 2)
-    if alpha >= math.pi / 2.0 or psi > top:
-        raise TargetUnreachable(
-            f"net angle {psi:.6g} is not reachable at lam={lam:.6g}, "
-            f"k={k} (max {top:.6g})",
-            max_phi=top,
-        )
-    return float(_tilt(lam, alpha))
-
-
-@functools.lru_cache(maxsize=8)
-def _reach(k: int) -> np.ndarray:
-    """Reach of each grid value for k factors: the largest net angle its
-    chain or a smaller grid value's can give, so nondecreasing (read-only)."""
-    reach = np.maximum.accumulate(_max_phi(_LAM_GRID, k))
-    reach.setflags(write=False)
-    return reach
+    _require_reach(psi, k, top, top, "lam=", lam)
+    return float(_tilt(lam, psi / (k - 2)))
 
 
 def _plan(psi, k: int, budget: float) -> tuple:
-    """The plans of plan_scheme for an array of angles psi in (0, pi], all
-    with k factors and one budget: arrays of lam and theta.
-
-    Raises TargetUnreachable, naming the largest angle that is out of
-    reach, as plan_scheme does.
-    """
+    """plan_scheme for an array of angles psi in (0, pi], all with k
+    factors and one budget: arrays of lam and theta, or its error for the
+    largest angle out of reach."""
     j_top = int(np.searchsorted(_LAM_GRID, budget, side="right")) - 1
-    # The first grid value whose reach covers psi: the first with
-    # _max_phi >= psi, the test solve_theta applies.
-    j = np.searchsorted(_reach(k), psi)
-    if j.max() > j_top:
-        top = float(_max_phi(_LAM_GRID[j_top], k))
-        raise TargetUnreachable(
-            f"net angle {psi[j > j_top].max():.6g} needs more than "
-            f"lam={budget:.6g} at k={k} (largest achievable {top:.6g})",
-            max_phi=top,
-        )
+    reach = (k - 2) * _REACH3[: j_top + 1]
+    # The first grid value whose reach covers psi is the first whose _max_phi
+    # does. The largest angle has the largest j: if it is in reach, all are.
+    j = np.searchsorted(reach, psi)
+    top, max_phi = float(reach[min(int(j.max()), j_top)]), float(reach[-1])
+    _require_reach(float(psi.max()), k, top, max_phi, "every lam up to ", budget)
     lam = _LAM_GRID[j]
     return lam, _tilt(lam, psi / (k - 2))
 
@@ -421,18 +411,18 @@ def _plan(psi, k: int, budget: float) -> tuple:
 def plan_scheme(psi, k, lam_budget) -> ChainParams:
     """Cheapest-conditioning scheme reaching net angle psi with k factors.
 
-    The largest reachable angle grows with lam and reaches psi from
-    lam_min = exp(acosh(tan^2(pi/4 + alpha/2))), alpha = psi/(k-2), on.
-    The plan takes the first value of the grid 1.25^j whose largest net
-    angle, as evaluated, reaches psi (one lookup in a per-k table of those
-    angles), and the matching theta. Conditioning is the user-facing cost,
-    so the grid caps its granularity at 25 percent; finer lam resolution
-    buys nothing.
+    For alpha = psi/(k-2) < pi/2 the largest reachable angle grows with lam
+    and reaches psi from lam_min = exp(acosh(tan^2(pi/4 + alpha/2))) on. The
+    plan takes the first grid value 1.25^j whose largest net angle, as
+    evaluated, reaches psi (one lookup in a table of those angles for every
+    k), and theta = solve_theta(lam, k, psi), under one reach rule.
+    Conditioning is the user-facing cost, so the grid caps its granularity
+    at 25 percent; finer lam resolution buys nothing.
 
     Raises TargetUnreachable, with the largest angle reachable on the grid
     within the budget in ``max_phi``, when that grid value exceeds
-    lam_budget. This is the one-angle case of the plans factor_orthogonal
-    makes for all planes at once.
+    lam_budget, and at every budget when alpha >= pi/2. This is the one-angle
+    case of the plans factor_orthogonal makes for all planes at once.
     """
     psi = _real(psi, "target angle")
     if not 0.0 <= psi <= math.pi:
@@ -461,9 +451,7 @@ def gradient_generator(Sigma0, theta, t_fn) -> np.ndarray:
     S0 = _require_symmetric(Sigma0, "gradient_generator covariance")
     if S0.shape != (2, 2):
         raise DimensionMismatch("gradient generator is defined for 2x2 input")
-    t_fn = _real(t_fn, "t_fn")
-    if t_fn <= 0.0:
-        raise InvalidParams(f"t_fn must be positive, got {t_fn}")
+    t_fn = _positive(t_fn, "t_fn")
     dmax, dmin = _eig2(S0[_UPPER])
     _certify_spd((dmax, dmin), "gradient_generator covariance")
     U = rotation2(theta)

@@ -429,6 +429,13 @@ class TestVerify:
         rep = verify(FactorChain(DISPLAY_FACTORS), -np.eye(2), 1e-8)
         assert not rep.passed
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_tol_must_be_positive(self, tol):
+        # The rule FactorOptions applies to tol_verify: no residual passes
+        # a tolerance of zero or below, so it is an input error.
+        with pytest.raises(InvalidParams, match="tol must be positive"):
+            verify(FactorChain(DISPLAY_FACTORS), -np.eye(2), tol)
+
     def test_corrupted_factor_fails(self):
         ch = factor_matrix(np.diag([2.0, 3.0]))
         bad = [M.copy() for M in ch.factors]

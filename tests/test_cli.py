@@ -401,6 +401,18 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert rc == 3
 
+    @pytest.mark.parametrize("tol", ["-1", "0"])
+    def test_nonpositive_tol_is_one_error_line(self, tmp_path, capsys, tol):
+        # As for factor --tol: an input error (exit 1), not a failed
+        # verification (exit 3).
+        chain = write_chain(tmp_path / "c.json", [[1.0, 0.0, 0.0, 1.0]])
+        target = write_matrix(tmp_path / "t.json", np.eye(2))
+        rc = main(["verify", "--chain", chain, "--target", target, "--tol", tol])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_dimension_mismatch(self, tmp_path, capsys):
         chain = write_chain(tmp_path / "c.json", [[1.0, 0.0, 0.0, 1.0]])
         target = write_matrix(tmp_path / "t.json", np.eye(3))

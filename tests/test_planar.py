@@ -422,6 +422,24 @@ class TestSolveTheta:
             solve_theta(2.0, 3, -0.1)
 
 
+# Factor counts of the plan scans: every small k, and two large ones where
+# the k-free reach table must hold too.
+SCAN_KS = [*range(3, 10), 17, 40]
+
+
+def _scan_targets(k):
+    """The largest net angles of the k-factor chain on the lam grid, and the
+    angles in [0, pi] at the first 400 of them and one ulp either side."""
+    peaks = _max_phi(_LAM_GRID, k).tolist()
+    targets = {
+        float(psi)
+        for peak in peaks[:400]
+        for psi in (np.nextafter(peak, -np.inf), peak, np.nextafter(peak, np.inf))
+        if 0.0 <= psi <= math.pi
+    }
+    return peaks, sorted(targets)
+
+
 class TestPlanScheme:
     def test_zero_target(self):
         p = plan_scheme(0.0, 4, 100.0)
@@ -494,28 +512,44 @@ class TestPlanScheme:
         # At the largest net angle of each of the first 400 grid values, and
         # one ulp either side of it, the plan is the first grid value from
         # j = 0 on whose largest net angle reaches psi (the scan above, on
-        # the closed form as evaluated); past the budget, max_phi is that
-        # angle at the largest grid value within it.
-        for k in range(3, 10):
-            peaks = _max_phi(_LAM_GRID, k).tolist()
-            targets = {
-                float(psi)
-                for peak in peaks[:400]
-                for psi in (np.nextafter(peak, -np.inf), peak, np.nextafter(peak, np.inf))
-                if 0.0 <= psi <= math.pi
-            }
-            for psi in sorted(targets):
+        # the closed form as evaluated); past the budget, or at alpha =
+        # psi/(k-2) = pi/2, which no lam reaches although the largest angle
+        # rounds up to it (k = 3 at pi/2, k = 4 at pi), there is no plan and
+        # max_phi is the largest net angle at a grid value within the budget.
+        for k in SCAN_KS:
+            peaks, targets = _scan_targets(k)
+            for psi in targets:
                 j = 0
                 while j < len(peaks) and peaks[j] < psi:
                     j += 1
                 for budget in (1000.0, 1e300):
                     j_top = int(np.searchsorted(_LAM_GRID, budget, side="right")) - 1
-                    if j <= j_top:
+                    if j <= j_top and psi / (k - 2) < math.pi / 2.0:
                         assert plan_scheme(psi, k, budget).lam == _LAM_GRID[j]
                         continue
                     with pytest.raises(TargetUnreachable) as info:
                         plan_scheme(psi, k, budget)
                     assert info.value.max_phi == peaks[j_top]
+
+    def test_plan_theta_is_solve_theta_at_the_plan(self):
+        # plan_scheme and solve_theta apply one reach rule: every plan's
+        # theta is solve_theta's at its lam, bit for bit, and at alpha = pi/2
+        # neither reaches the angle, at any budget or lam.
+        for k in SCAN_KS:
+            for psi in _scan_targets(k)[1]:
+                for budget in (1000.0, 1e300):
+                    try:
+                        p = plan_scheme(psi, k, budget)
+                    except TargetUnreachable:
+                        continue
+                    assert solve_theta(p.lam, k, psi) == p.theta
+        for k, psi in ((3, math.pi / 2.0), (4, math.pi)):
+            for budget in (1.0, 1000.0, 2.92e32, 1e300):
+                with pytest.raises(TargetUnreachable, match="every lam,"):
+                    plan_scheme(psi, k, budget)
+            for lam in (1.0, 1000.0, 1.25**335, 1e300):
+                with pytest.raises(TargetUnreachable, match="every lam,"):
+                    solve_theta(lam, k, psi)
 
     def test_angles_below_the_rounding_of_tan(self):
         # tan^2(pi/4 + alpha/2) rounds below 1 for alpha under about eps;
