@@ -23,10 +23,9 @@ from .errors import InputError, InvalidInput, NumericError
 from .flowsim import (
     ParticleCloud,
     _csv_rows,
+    _stream_csv,
     segments_from_chain,
-    simulate,
     transition_matrix,
-    write_trajectory_csv,
 )
 from .matfun import _as_square, _certify_spd, _floats, _spd_ok, _sym_spd
 from .planar import ChainParams, FactorChain, phi_sweep
@@ -249,8 +248,7 @@ def cmd_simulate(args) -> int:
     if args.durations:
         durations = _parse_float_list(args.durations, "--durations")
     segments = segments_from_chain(chain, durations)
-    trajectory = simulate(segments, ParticleCloud(positions), dt=args.dt)
-    write_trajectory_csv(trajectory, args.out_prefix)
+    _stream_csv(segments, ParticleCloud(positions), args.dt, args.out_prefix)
     _emit(_matrix_json(transition_matrix(segments)))
     return 0
 

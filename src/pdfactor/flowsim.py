@@ -11,7 +11,10 @@ to agree at segment ends.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +40,10 @@ __all__ = [
 # A remainder below this fraction of the segment is roundoff from dt
 # dividing the duration evenly, not a genuine partial step.
 _REMAINDER_TOL = 1e-12
+# The CSV files are written in blocks of whole samples, about this many
+# rows each: the per-block cost vanishes, and a block is too small to
+# raise peak memory.
+_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -49,6 +56,13 @@ class FlowSegment:
     def __post_init__(self):
         self.A = _require_symmetric(self.A, "flow generator")
         self.duration = _positive(self.duration, "duration")
+
+    @classmethod
+    def _trusted(cls, A, duration) -> FlowSegment:
+        """A checked generator and duration, taken without copy or checks."""
+        seg = cls.__new__(cls)
+        seg.A, seg.duration = A, duration
+        return seg
 
     @property
     def n(self) -> int:
@@ -103,8 +117,7 @@ class Trajectory:
         t = _floats(self.times, "times", copy=None)
         if t.ndim != 1 or t.size == 0:
             raise InvalidInput("times must be a nonempty 1-D array")
-        if np.any(np.diff(t) <= 0.0):
-            raise InvalidInput("sample times must be strictly increasing")
+        _require_increasing(t)
         P = _floats(self.positions, "positions", copy=None)
         C = _floats(self.covariances, "covariances", copy=None)
         if P.ndim != 3 or P.shape[0] != t.size:
@@ -125,6 +138,12 @@ class Trajectory:
         return self.times.size
 
 
+def _require_increasing(t, after=-math.inf) -> None:
+    """Raise InvalidInput unless the times t strictly increase from after."""
+    if np.any(np.diff(t, prepend=after) <= 0.0):
+        raise InvalidInput("sample times must be strictly increasing")
+
+
 def segments_from_chain(chain, durations=None) -> list:
     """Recover one generator per factor so that M_i = exp(A_i * Delta_i).
 
@@ -137,7 +156,11 @@ def segments_from_chain(chain, durations=None) -> list:
     if len(durs) != k:
         raise DimensionMismatch(f"{len(durs)} durations for {k} factors")
     durs = [_positive(d, "duration") for d in durs]
-    return [FlowSegment(spd_log(M) / d, d) for M, d in zip(chain.factors, durs)]
+    # spd_log returns an exactly symmetric matrix, and so does its quotient.
+    return [
+        FlowSegment._trusted(spd_log(M) / d, d)
+        for M, d in zip(chain.factors, durs)
+    ]
 
 
 def _segments(segments) -> list:
@@ -167,14 +190,10 @@ def _lyapunov_rk4(Sigma, A, h):
     return (S + S.T) / 2.0
 
 
-def simulate(segments, cloud, dt=1e-3) -> Trajectory:
-    """Run the segments back to back, sampling every substep boundary.
-
-    Particle positions advance by the exact exponential of each substep,
-    so boundary positions match the factor products up to roundoff. The
-    covariance is integrated with RK4 instead, which makes segment ends a
-    genuine accuracy check rather than a restatement of the same formula.
-    """
+def _flow(segments, cloud, dt) -> tuple:
+    """Check a run and form every propagator, then return the shape
+    (T, N, n) of its samples and a generator of them: (t, X, Sigma) for
+    each, the initial state first."""
     segs = _segments(segments)
     n = segs[0].n
     if not isinstance(cloud, ParticleCloud):
@@ -189,36 +208,57 @@ def simulate(segments, cloud, dt=1e-3) -> Trajectory:
         raise InvalidStep(
             f"dt={dt} exceeds the shortest segment duration {shortest}"
         )
-
-    # Steps make new arrays and np.array copies the lists: nothing to copy.
-    X = cloud.positions
-    Sigma = cloud.covariance()
-    times = [cloud.time]
-    positions = [X]
-    covariances = [Sigma]
-
-    seg_start = cloud.time
+    # Per segment: m steps of dt, then at most one of the remainder.
+    plan = []
     for seg in segs:
-        A = seg.A
         delta = seg.duration
         m = int(math.floor(delta / dt + 1e-9))
-        steps = [dt] * m
         rem = delta - m * dt
-        if rem > _REMAINDER_TOL * max(1.0, delta):
-            steps.append(rem)
-        E = {h: expm(A * h).T for h in set(steps)}
-        for j, h in enumerate(steps, start=1):
-            X = X @ E[h]
+        sizes = [dt, rem] if rem > _REMAINDER_TOL * max(1.0, delta) else [dt]
+        plan.append((seg.A, delta, m, [(h, expm(seg.A * h).T) for h in sizes]))
+    T = 1 + sum(m + len(steps) - 1 for _, _, m, steps in plan)
+    return (T, cloud.count, n), _samples(cloud, dt, plan)
+
+
+def _samples(cloud, dt, plan):
+    """The samples of a run that _flow has checked and planned."""
+    X = cloud.positions
+    Sigma = cloud.covariance()
+    seg_start = cloud.time
+    yield seg_start, X, Sigma
+    for A, delta, m, steps in plan:
+        last = m + len(steps) - 1
+        for j in range(1, last + 1):
+            h, E = steps[0 if j <= m else 1]
+            X = X @ E
             Sigma = _lyapunov_rk4(Sigma, A, h)
             # pin the last sample to the boundary so later segments see no drift
-            times.append(seg_start + delta if j == len(steps) else seg_start + j * dt)
-            positions.append(X)
-            covariances.append(Sigma)
+            yield (seg_start + delta if j == last else seg_start + j * dt), X, Sigma
         seg_start = seg_start + delta
 
-    return Trajectory(
-        np.array(times), np.array(positions), np.array(covariances)
-    )
+
+def _fill(samples, t, P, C) -> int:
+    """Copy the next samples into t, P and C until they are full or the
+    samples run out; returns how many were copied."""
+    count = 0
+    for sample in itertools.islice(samples, t.size):
+        t[count], P[count], C[count] = sample
+        count += 1
+    return count
+
+
+def simulate(segments, cloud, dt=1e-3) -> Trajectory:
+    """Run the segments back to back, sampling every substep boundary.
+
+    Particle positions advance by the exact exponential of each substep,
+    so boundary positions match the factor products up to roundoff. The
+    covariance is integrated with RK4 instead, which makes segment ends a
+    genuine accuracy check rather than a restatement of the same formula.
+    """
+    (T, N, n), samples = _flow(segments, cloud, dt)
+    trajectory = (np.empty(T), np.empty((T, N, n)), np.empty((T, n, n)))
+    _fill(samples, *trajectory)
+    return Trajectory(*trajectory)
 
 
 def transition_matrix(segments) -> np.ndarray:
@@ -246,28 +286,63 @@ def write_trajectory_csv(trajectory, prefix) -> tuple:
     """
     if not isinstance(trajectory, Trajectory):
         raise InvalidInput("expected a Trajectory")
-    T, N, n = trajectory.positions.shape
-    traj_path = f"{prefix}_trajectory.csv"
-    cov_path = f"{prefix}_covariance.csv"
     t, P, C = trajectory.times, trajectory.positions, trajectory.covariances
+    step = max(1, _BLOCK_ROWS // P.shape[1])
+    return _write_csv(prefix, P.shape[1:], (
+        (t[b:b + step], P[b:b + step], C[b:b + step])
+        for b in range(0, t.size, step)
+    ))
+
+
+def _stream_csv(segments, cloud, dt, prefix) -> tuple:
+    """write_trajectory_csv(simulate(segments, cloud, dt), prefix), byte for
+    byte, holding one block of samples at a time. Every check and every
+    propagator comes before the first byte is written."""
+    (_, N, n), samples = _flow(segments, cloud, dt)
+    step = max(1, _BLOCK_ROWS // N)
+    block = (np.empty(step), np.empty((step, N, n)), np.empty((step, n, n)))
+
+    def blocks():
+        # The times strictly increase, as in a Trajectory: within each
+        # block and across block boundaries.
+        last = -math.inf
+        while count := _fill(samples, *block):
+            _require_increasing(block[0][:count], last)
+            last = block[0][count - 1]
+            yield tuple(a[:count] for a in block)
+
+    return _write_csv(prefix, (N, n), blocks())
+
+
+def _write_csv(prefix, shape, blocks) -> tuple:
+    """Write blocks (t, P, C) of samples, shaped (b,), (b, N, n) and
+    (b, n, n) for shape (N, n), as write_trajectory_csv describes. If a
+    block fails, both files are removed again."""
+    N, n = shape
+    paths = (f"{prefix}_trajectory.csv", f"{prefix}_covariance.csv")
     ids = np.arange(N)
     traj_fmt = ",".join(["%.17g", "%d"] + ["%.17g"] * n)
     cov_fmt = ",".join(["%.17g"] * (1 + n * n))
-    # One block of about 4096 rows at a time: the per-block cost vanishes,
-    # and the block is too small to raise peak memory.
-    step = max(1, 4096 // N)
-    with open(traj_path, "w", encoding="utf-8", newline="\n") as ft, \
-            open(cov_path, "w", encoding="utf-8", newline="\n") as fc:
-        ft.write("t,particle_id," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
-        fc.write("t," + ",".join(
-            f"sigma_{i + 1}{j + 1}" for i in range(n) for j in range(n)
-        ) + "\n")
-        for b in range(0, T, step):
-            tb, Pb, Cb = t[b:b + step], P[b:b + step], C[b:b + step]
-            rows = np.column_stack(
-                (np.repeat(tb, N), np.tile(ids, tb.size), Pb.reshape(-1, n))
-            )
-            ft.write(_csv_rows(traj_fmt, rows))
-            rows = np.column_stack((tb, Cb.reshape(tb.size, n * n)))
-            fc.write(_csv_rows(cov_fmt, rows))
-    return traj_path, cov_path
+    opened = False
+    try:
+        with open(paths[0], "w", encoding="utf-8", newline="\n") as ft, \
+                open(paths[1], "w", encoding="utf-8", newline="\n") as fc:
+            opened = True
+            ft.write("t,particle_id," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
+            fc.write("t," + ",".join(
+                f"sigma_{i + 1}{j + 1}" for i in range(n) for j in range(n)
+            ) + "\n")
+            for tb, Pb, Cb in blocks:
+                rows = np.column_stack(
+                    (np.repeat(tb, N), np.tile(ids, tb.size), Pb.reshape(-1, n))
+                )
+                ft.write(_csv_rows(traj_fmt, rows))
+                rows = np.column_stack((tb, Cb.reshape(tb.size, n * n)))
+                fc.write(_csv_rows(cov_fmt, rows))
+    except BaseException:
+        if opened:  # by now both files are closed
+            for path in paths:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+        raise
+    return paths

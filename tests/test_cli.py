@@ -4,13 +4,20 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pdfactor import cli, errors
+from pdfactor import cli, errors, flowsim
 from pdfactor.cli import load_chain, load_matrix, main, save_chain, save_matrix
 from pdfactor.errors import InvalidInput, NotPositiveDefinite
+from pdfactor.flowsim import (
+    ParticleCloud,
+    segments_from_chain,
+    simulate,
+    write_trajectory_csv,
+)
 from pdfactor.planar import phi_sweep
 
 from _helpers import hilbert, rng
@@ -517,6 +524,115 @@ class TestSimulateCommand:
                    "--dt", "2.0", "--out-prefix", str(tmp_path / "x")])
         capsys.readouterr()
         assert rc == 1
+
+    @pytest.mark.parametrize("fault, code", [
+        ("oversized_dt", 1),
+        ("last_propagator_fails", 2),
+        ("repeated_sample_time", 1),
+    ])
+    def test_failed_run_writes_no_files(self, tmp_path, monkeypatch, capsys,
+                                        fault, code):
+        # Every check and every propagator comes before the first byte of
+        # either CSV; a sample-time check that fails mid-run, after blocks
+        # were written, removes both files again.
+        chain = write_chain(tmp_path / "c.json", [
+            [3.0, 0.0, 0.0, 1.0 / 3.0],
+            [1.0, 0.0, 0.0, 1.0],
+        ])
+        parts = self.write_particles(tmp_path / "p.csv", [[1.0, 1.0]])
+        argv = ["simulate", "--chain", chain, "--particles", parts,
+                "--out-prefix", str(tmp_path / "x")]
+        if fault == "oversized_dt":
+            argv += ["--dt", "2.0"]
+        elif fault == "last_propagator_fails":
+            calls = []
+
+            def expm(A):
+                # No file may be open yet, not even an empty one.
+                assert not (tmp_path / "x_trajectory.csv").exists()
+                calls.append(A)
+                if len(calls) == 2:  # one step size per segment
+                    raise errors.NumericalFailure("expm failed")
+                return real_expm(A)
+
+            real_expm = flowsim.expm
+            monkeypatch.setattr(flowsim, "expm", expm)
+        else:
+            # The second segment's remainder step of 1.5e-12 is below half
+            # an ulp of the time 20479 it follows, so the pinned end time
+            # repeats that sample's time: sample 20480, the first of the
+            # sixth block of 4096.
+            argv += ["--dt", "1", "--durations", "20478,1.0000000000015"]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x_trajectory.csv").exists()
+        assert not (tmp_path / "x_covariance.csv").exists()
+
+    @pytest.mark.parametrize("N, dt, durations", [
+        (4100, "0.25", None),
+        (7, "0.001", None),
+        (3, "0.3", None),
+        (5, "0.01", "0.5,2.0,0.75"),
+    ], ids=["particles_past_block", "blocks_of_steps", "remainder_step",
+            "durations"])
+    def test_csvs_match_library_bytes(self, tmp_path, capsys, N, dt, durations):
+        # The command streams its samples to disk one block at a time; its
+        # files must be the bytes the library writes for the whole run.
+        chain = write_chain(tmp_path / "c.json", [
+            [0.5, 0.0, 0.0, 2.0],
+            [2.0, 1.0, 1.0, 1.0],
+            [1.5652, -1.3416, -1.3416, 1.7889],
+        ])
+        X = rng(15).standard_normal((N, 2))
+        parts = self.write_particles(tmp_path / "p.csv", X.tolist())
+        argv = ["simulate", "--chain", chain, "--particles", parts,
+                "--dt", dt, "--out-prefix", str(tmp_path / "cli")]
+        if durations:
+            argv += ["--durations", durations]
+        assert main(argv) == 0
+        capsys.readouterr()
+        segs = segments_from_chain(
+            load_chain(chain),
+            durations and [float(d) for d in durations.split(",")],
+        )
+        traj = simulate(segs, ParticleCloud(X), dt=float(dt))
+        write_trajectory_csv(traj, str(tmp_path / "lib"))
+        for kind in ("trajectory", "covariance"):
+            cli_bytes = (tmp_path / f"cli_{kind}.csv").read_bytes()
+            assert cli_bytes == (tmp_path / f"lib_{kind}.csv").read_bytes()
+
+    def test_memory_does_not_grow_with_run(self, tmp_path, capsys):
+        # A run four times as long writes four times the samples, but the
+        # command holds one block of them at a time: its peak allocation
+        # stays about the same and below one whole trajectory's arrays.
+        n, N = 6, 64
+        chain = write_chain(tmp_path / "c.json", [
+            np.diag(np.linspace(0.5, 2.0, n)).ravel().tolist(),
+            np.eye(n).ravel().tolist(),
+        ])
+        parts = self.write_particles(
+            tmp_path / "p.csv", rng(16).standard_normal((N, n)).tolist(), n
+        )
+
+        def peak(dt):
+            tracemalloc.start()
+            try:
+                rc = main(["simulate", "--chain", chain, "--particles", parts,
+                           "--dt", repr(dt), "--out-prefix", str(tmp_path / "m")])
+                peak_bytes = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+            assert rc == 0
+            return peak_bytes
+
+        dt = 0.005
+        short, long = peak(dt), peak(dt / 4)
+        T = 1 + 2 * round(4 / dt)
+        trajectory_bytes = 8 * T * (1 + N * n + n * n)
+        assert long <= 1.5 * short
+        assert long < trajectory_bytes
 
 
 class TestErrorMapping:

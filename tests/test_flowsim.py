@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pdfactor import matfun
 from pdfactor.errors import (
     DimensionMismatch,
     InvalidInput,
@@ -24,7 +25,7 @@ from pdfactor.flowsim import (
     _lyapunov_rk4,
     write_trajectory_csv,
 )
-from pdfactor.matfun import expm, sym_exp
+from pdfactor.matfun import expm, spd_log, sym_exp
 from pdfactor.planar import FactorChain, build_chain, plan_scheme, rotation2
 
 from _helpers import rng
@@ -140,6 +141,27 @@ class TestSegmentsFromChain:
     def test_non_spd_factor(self):
         with pytest.raises(NotPositiveDefinite):
             segments_from_chain(FactorChain([np.diag([1.0, -1.0])]))
+
+    def test_one_symmetry_check_per_factor(self, monkeypatch):
+        # spd_log checks each factor; its exactly symmetric logarithm is
+        # not checked again, and the generators are the ones the public
+        # FlowSegment constructor gives, bit for bit.
+        ch = minus_identity_chain()
+        durations = [0.5, 1.0, 2.0, 0.25, 3.0]
+        calls = []
+
+        def sym_check(F):
+            calls.append(F.shape)
+            return real_sym_check(F)
+
+        real_sym_check = matfun._sym_check
+        monkeypatch.setattr(matfun, "_sym_check", sym_check)
+        segs = segments_from_chain(ch, durations)
+        assert len(calls) == len(ch.factors)
+        monkeypatch.undo()
+        for seg, M, d in zip(segs, ch.factors, durations):
+            ref = FlowSegment(spd_log(M) / d, d)
+            assert np.array_equal(seg.A, ref.A) and seg.duration == ref.duration
 
 
 class TestSimulate:
