@@ -3,28 +3,24 @@
 Every SPD factor M_i is the time-Delta_i endpoint map of the linear flow
 x' = A_i x with symmetric generator A_i = log(M_i)/Delta_i, so running the
 segments back to back transports a particle cloud exactly the way the
-factor product does. Particles advance by exact exponential substeps;
-the covariance integrates the Lyapunov equation Sigma' = A Sigma + Sigma A
-with classical RK4 over the same partition, and the two views are expected
-to agree at segment ends.
+factor product does. Each segment is evaluated in closed form on its
+generator's eigenbasis, from one ``eigh``: the particles move by exact
+exponentials, and the covariance is classical RK4 on the Lyapunov equation
+Sigma' = A Sigma + Sigma A, with no per-step loop. The two agree at segment
+ends up to RK4's error.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidInput,
-    InvalidStep,
-)
-from .matfun import _floats, _positive, _real, _require_symmetric, expm, spd_log
+from .errors import DimensionMismatch, InvalidInput, InvalidStep
+from .matfun import _floats, _positive, _real, _require_symmetric, expm, spd_log, sym_eig
 from .planar import _as_chain
 
 __all__ = [
@@ -42,8 +38,8 @@ __all__ = [
 _REMAINDER_TOL = 1e-12
 # The CSV files are written in blocks of whole samples, about this many
 # rows each: the per-block cost vanishes, and a block is too small to
-# raise peak memory.
-_BLOCK_ROWS = 4096
+# raise peak memory or to be returned to the system and faulted back in.
+_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -176,24 +172,10 @@ def _segments(segments) -> list:
     return segs
 
 
-def _lyapunov_rk4(Sigma, A, h):
-    # Classical RK4 on Sigma' = A Sigma + Sigma A^T; symmetrize to stop
-    # roundoff from accumulating an antisymmetric part over many steps.
-    def f(S):
-        return A @ S + S @ A.T
-
-    k1 = f(Sigma)
-    k2 = f(Sigma + 0.5 * h * k1)
-    k3 = f(Sigma + 0.5 * h * k2)
-    k4 = f(Sigma + h * k3)
-    S = Sigma + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return (S + S.T) / 2.0
-
-
 def _flow(segments, cloud, dt) -> tuple:
-    """Check a run and form every propagator, then return the shape
-    (T, N, n) of its samples and a generator of them: (t, X, Sigma) for
-    each, the initial state first."""
+    """Check a run and take each generator's eigendecomposition; return the
+    sample shape (T, N, n) and a generator of blocks (t, X, Sigma) of at
+    most _BLOCK_ROWS // N samples, the initial state first."""
     segs = _segments(segments)
     n = segs[0].n
     if not isinstance(cloud, ParticleCloud):
@@ -214,51 +196,69 @@ def _flow(segments, cloud, dt) -> tuple:
         delta = seg.duration
         m = int(math.floor(delta / dt + 1e-9))
         rem = delta - m * dt
-        sizes = [dt, rem] if rem > _REMAINDER_TOL * max(1.0, delta) else [dt]
-        plan.append((seg.A, delta, m, [(h, expm(seg.A * h).T) for h in sizes]))
-    T = 1 + sum(m + len(steps) - 1 for _, _, m, steps in plan)
-    return (T, cloud.count, n), _samples(cloud, dt, plan)
+        rem = rem if rem > _REMAINDER_TOL * max(1.0, delta) else 0.0
+        plan.append((sym_eig(seg.A), delta, m, rem))
+    T = 1 + sum(m + (rem > 0.0) for _, _, m, rem in plan)
+    return (T, cloud.count, n), _blocks(cloud, dt, plan)
 
 
-def _samples(cloud, dt, plan):
-    """The samples of a run that _flow has checked and planned."""
-    X = cloud.positions
-    Sigma = cloud.covariance()
-    seg_start = cloud.time
-    yield seg_start, X, Sigma
-    for A, delta, m, steps in plan:
-        last = m + len(steps) - 1
-        for j in range(1, last + 1):
-            h, E = steps[0 if j <= m else 1]
-            X = X @ E
-            Sigma = _lyapunov_rk4(Sigma, A, h)
-            # pin the last sample to the boundary so later segments see no drift
-            yield (seg_start + delta if j == last else seg_start + j * dt), X, Sigma
-        seg_start = seg_start + delta
+def _rk4_log_gain(z):
+    """log T4(z): one classical RK4 step of size h multiplies y' = (z/h) y
+    by T4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 > 0. Via log1p, exp(j log T4)
+    keeps T4^j to a few ulps, where a power of the rounded T4 loses up to j."""
+    return np.log1p(z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
 
 
-def _fill(samples, t, P, C) -> int:
-    """Copy the next samples into t, P and C until they are full or the
-    samples run out; returns how many were copied."""
-    count = 0
-    for sample in itertools.islice(samples, t.size):
-        t[count], P[count], C[count] = sample
-        count += 1
-    return count
+def _blocks(cloud, dt, plan):
+    """The samples of a run that _flow has checked and planned. On A's
+    eigenbasis A = Q diag(d) Q^T, the particles are X_s Q diag(e^{d tau})
+    Q^T, and RK4 on the Lyapunov equation, whose operator has eigenvalues
+    d_p + d_q there, is Q (Q^T Sigma_s Q o T4(h (d_p + d_q))^j) Q^T."""
+    X, Sigma, start = cloud.positions, cloud.covariance(), cloud.time
+    N, n = X.shape
+    step = max(1, _BLOCK_ROWS // N)
+    yield np.array([start]), X[np.newaxis], Sigma[np.newaxis]
+    for (Q, d), delta, m, rem in plan:
+        Y, S = X @ Q, Q.T @ Sigma @ Q
+        z = d[:, np.newaxis] + d
+        log_gain = _rk4_log_gain(dt * z)
+        last = m + (rem > 0.0)
+        for lo in range(1, last + 1, step):
+            j = np.arange(lo, min(lo + step, last + 1))
+            tau = j * dt
+            t = start + tau
+            logs = j[:, np.newaxis, np.newaxis] * log_gain
+            if j[-1] == last:
+                # pin the last sample to the boundary so later segments see no drift
+                t[-1] = start + delta
+                if rem:
+                    tau[-1] = m * dt + rem
+                    logs[-1] = m * log_gain + _rk4_log_gain(rem * z)
+            Xb = (Y * np.exp(np.multiply.outer(tau, d))[:, np.newaxis]).reshape(-1, n)
+            Xb = (Xb @ Q.T).reshape(j.size, N, n)
+            Cb = Q @ (S * np.exp(logs)) @ Q.T
+            Cb = (Cb + Cb.swapaxes(1, 2)) / 2.0
+            yield t, Xb, Cb
+        X, Sigma, start = Xb[-1], Cb[-1], start + delta
 
 
 def simulate(segments, cloud, dt=1e-3) -> Trajectory:
     """Run the segments back to back, sampling every substep boundary.
 
-    Particle positions advance by the exact exponential of each substep,
-    so boundary positions match the factor products up to roundoff. The
-    covariance is integrated with RK4 instead, which makes segment ends a
-    genuine accuracy check rather than a restatement of the same formula.
+    Particle positions are exact exponentials on each generator's
+    eigenbasis, so boundary positions match the factor products up to
+    roundoff. The covariance is classical RK4 on the Lyapunov equation,
+    evaluated in closed form on the same eigenbasis; segment ends then
+    check RK4 against the exponential.
     """
-    (T, N, n), samples = _flow(segments, cloud, dt)
-    trajectory = (np.empty(T), np.empty((T, N, n)), np.empty((T, n, n)))
-    _fill(samples, *trajectory)
-    return Trajectory(*trajectory)
+    (T, N, n), blocks = _flow(segments, cloud, dt)
+    t, P, C = np.empty(T), np.empty((T, N, n)), np.empty((T, n, n))
+    i = 0
+    for tb, Pb, Cb in blocks:
+        j = i + tb.size
+        t[i:j], P[i:j], C[i:j] = tb, Pb, Cb
+        i = j
+    return Trajectory(t, P, C)
 
 
 def transition_matrix(segments) -> np.ndarray:
@@ -297,37 +297,40 @@ def write_trajectory_csv(trajectory, prefix) -> tuple:
 def _stream_csv(segments, cloud, dt, prefix) -> tuple:
     """write_trajectory_csv(simulate(segments, cloud, dt), prefix), byte for
     byte, holding one block of samples at a time. Every check and every
-    propagator comes before the first byte is written."""
-    (_, N, n), samples = _flow(segments, cloud, dt)
-    step = max(1, _BLOCK_ROWS // N)
-    block = (np.empty(step), np.empty((step, N, n)), np.empty((step, n, n)))
+    eigendecomposition comes before the first byte is written."""
+    (_, N, n), blocks = _flow(segments, cloud, dt)
 
-    def blocks():
+    def checked():
         # The times strictly increase, as in a Trajectory: within each
         # block and across block boundaries.
         last = -math.inf
-        while count := _fill(samples, *block):
-            _require_increasing(block[0][:count], last)
-            last = block[0][count - 1]
-            yield tuple(a[:count] for a in block)
+        for block in blocks:
+            _require_increasing(block[0], last)
+            last = block[0][-1]
+            yield block
 
-    return _write_csv(prefix, (N, n), blocks())
+    return _write_csv(prefix, (N, n), checked())
 
 
 def _write_csv(prefix, shape, blocks) -> tuple:
     """Write blocks (t, P, C) of samples, shaped (b,), (b, N, n) and
     (b, n, n) for shape (N, n), as write_trajectory_csv describes. If a
-    block fails, both files are removed again."""
+    block or the second open fails, the files opened are removed again."""
     N, n = shape
     paths = (f"{prefix}_trajectory.csv", f"{prefix}_covariance.csv")
     ids = np.arange(N)
     traj_fmt = ",".join(["%.17g", "%d"] + ["%.17g"] * n)
     cov_fmt = ",".join(["%.17g"] * (1 + n * n))
-    opened = False
+    # A new file, not one truncated on open, which ext4 flushes to disk on
+    # close; a symlink is still written through.
+    for path in paths:
+        with contextlib.suppress(OSError):
+            if os.path.isfile(path) and not os.path.islink(path):
+                os.remove(path)
+    ft = fc = None
     try:
         with open(paths[0], "w", encoding="utf-8", newline="\n") as ft, \
                 open(paths[1], "w", encoding="utf-8", newline="\n") as fc:
-            opened = True
             ft.write("t,particle_id," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
             fc.write("t," + ",".join(
                 f"sigma_{i + 1}{j + 1}" for i in range(n) for j in range(n)
@@ -340,8 +343,9 @@ def _write_csv(prefix, shape, blocks) -> tuple:
                 rows = np.column_stack((tb, Cb.reshape(tb.size, n * n)))
                 fc.write(_csv_rows(cov_fmt, rows))
     except BaseException:
-        if opened:  # by now both files are closed
-            for path in paths:
+        # Remove the files this call opened; by now they are closed.
+        for path, f in zip(paths, (ft, fc)):
+            if f is not None:
                 with contextlib.suppress(OSError):
                     os.remove(path)
         raise

@@ -164,9 +164,14 @@ def sym_eig(S) -> EigenPair:
     ------
     InvalidInput
         If S is not square or not symmetric.
+    NumericalFailure
+        If ``eigh`` does not converge.
     """
     A = _require_symmetric(S, "sym_eig input")
-    d, Q = np.linalg.eigh(A)
+    try:
+        d, Q = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigh did not converge: {exc}") from exc
     d = d[::-1].copy()
     Q = Q[:, ::-1]
     cols = np.arange(Q.shape[1])

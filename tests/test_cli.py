@@ -525,16 +525,8 @@ class TestSimulateCommand:
         capsys.readouterr()
         assert rc == 1
 
-    @pytest.mark.parametrize("fault, code", [
-        ("oversized_dt", 1),
-        ("last_propagator_fails", 2),
-        ("repeated_sample_time", 1),
-    ])
-    def test_failed_run_writes_no_files(self, tmp_path, monkeypatch, capsys,
-                                        fault, code):
-        # Every check and every propagator comes before the first byte of
-        # either CSV; a sample-time check that fails mid-run, after blocks
-        # were written, removes both files again.
+    def faulty_run(self, tmp_path, monkeypatch, fault):
+        """argv of a simulate run to prefix x that fails as fault says."""
         chain = write_chain(tmp_path / "c.json", [
             [3.0, 0.0, 0.0, 1.0 / 3.0],
             [1.0, 0.0, 0.0, 1.0],
@@ -547,27 +539,92 @@ class TestSimulateCommand:
         elif fault == "last_propagator_fails":
             calls = []
 
-            def expm(A):
-                # No file may be open yet, not even an empty one.
-                assert not (tmp_path / "x_trajectory.csv").exists()
+            def sym_eig(A):
+                # No file may be touched yet: none opened, none removed.
+                for kind in ("trajectory", "covariance"):
+                    path = tmp_path / f"x_{kind}.csv"
+                    assert not path.exists() or path.read_text() == "old\n"
                 calls.append(A)
-                if len(calls) == 2:  # one step size per segment
-                    raise errors.NumericalFailure("expm failed")
-                return real_expm(A)
+                if len(calls) == 2:  # one eigendecomposition per segment
+                    raise errors.NumericalFailure("eigh failed")
+                return real_sym_eig(A)
 
-            real_expm = flowsim.expm
-            monkeypatch.setattr(flowsim, "expm", expm)
+            real_sym_eig = flowsim.sym_eig
+            monkeypatch.setattr(flowsim, "sym_eig", sym_eig)
         else:
             # The second segment's remainder step of 1.5e-12 is below half
             # an ulp of the time 20479 it follows, so the pinned end time
-            # repeats that sample's time: sample 20480, the first of the
-            # sixth block of 4096.
+            # repeats that sample's time: the last block, of the second
+            # segment's two samples, fails after the first segment's blocks
+            # were written.
             argv += ["--dt", "1", "--durations", "20478,1.0000000000015"]
-        assert main(argv) == code
+        return argv
+
+    @pytest.mark.parametrize("fault, code", [
+        ("oversized_dt", 1),
+        ("last_propagator_fails", 2),
+        ("repeated_sample_time", 1),
+    ])
+    def test_failed_run_writes_no_files(self, tmp_path, monkeypatch, capsys,
+                                        fault, code):
+        # Every check and every eigendecomposition comes before the first
+        # byte of either CSV; a sample-time check that fails mid-run, after
+        # blocks were written, removes both files again.
+        assert main(self.faulty_run(tmp_path, monkeypatch, fault)) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "x_trajectory.csv").exists()
         assert not (tmp_path / "x_covariance.csv").exists()
+
+    @pytest.mark.parametrize("fault, kept", [
+        ("oversized_dt", True),
+        ("last_propagator_fails", True),
+        ("repeated_sample_time", False),
+    ])
+    def test_failed_run_over_old_files(self, tmp_path, monkeypatch, capsys,
+                                       fault, kept):
+        # Old output files are replaced only once every check has passed:
+        # a run that fails its checks leaves them as they were, and one
+        # that fails mid-write removes both.
+        old = [tmp_path / f"x_{kind}.csv" for kind in ("trajectory", "covariance")]
+        for path in old:
+            path.write_text("old\n")
+        assert main(self.faulty_run(tmp_path, monkeypatch, fault)) != 0
+        capsys.readouterr()
+        for path in old:
+            assert path.read_text() == "old\n" if kept else not path.exists()
+
+    def test_second_open_failing_leaves_no_file(self, tmp_path, capsys):
+        # The covariance path is a directory, so its open fails after the
+        # trajectory file was created: that file is removed again.
+        chain = write_chain(tmp_path / "c.json", [[2.0, 0.0, 0.0, 0.5]])
+        parts = self.write_particles(tmp_path / "p.csv", [[1.0, 1.0]])
+        (tmp_path / "x_covariance.csv").mkdir()
+        assert main(["simulate", "--chain", chain, "--particles", parts,
+                     "--out-prefix", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x_trajectory.csv").exists()
+
+    def test_old_file_unlinked_and_symlink_written_through(self, tmp_path, capsys):
+        # An existing regular file is unlinked and a new one created, not
+        # truncated: a hard link to it keeps the old bytes. A symlink is
+        # kept, and its target gets the output.
+        chain = write_chain(tmp_path / "c.json", [[2.0, 0.0, 0.0, 0.5]])
+        parts = self.write_particles(tmp_path / "p.csv", [[1.0, 1.0]])
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        (tmp_path / "x_trajectory.csv").symlink_to(target)
+        (tmp_path / "x_covariance.csv").write_text("old\n")
+        os.link(tmp_path / "x_covariance.csv", tmp_path / "hard.csv")
+        assert main(["simulate", "--chain", chain, "--particles", parts,
+                     "--dt", "0.5", "--out-prefix", str(tmp_path / "x")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "x_trajectory.csv").is_symlink()
+        assert target.read_text().startswith("t,particle_id,x1,x2\n")
+        assert len(target.read_text().splitlines()) == 1 + 3
+        assert (tmp_path / "x_covariance.csv").read_text().startswith("t,sigma_11")
+        assert (tmp_path / "hard.csv").read_text() == "old\n"
 
     @pytest.mark.parametrize("N, dt, durations", [
         (4100, "0.25", None),

@@ -1,5 +1,7 @@
+import decimal
 import hashlib
 import math
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pdfactor import matfun
+from pdfactor.ballantine import factor_matrix
 from pdfactor.errors import (
     DimensionMismatch,
     InvalidInput,
@@ -22,7 +25,6 @@ from pdfactor.flowsim import (
     segments_from_chain,
     simulate,
     transition_matrix,
-    _lyapunov_rk4,
     write_trajectory_csv,
 )
 from pdfactor.matfun import expm, spd_log, sym_exp
@@ -49,6 +51,57 @@ def unit_cross_cloud():
     return ParticleCloud(
         np.array([[s, 0.0], [-s, 0.0], [0.0, s], [0.0, -s]])
     )
+
+
+def lyapunov_rk4(Sigma, A, h):
+    # Classical RK4 on Sigma' = A Sigma + Sigma A^T, one step, symmetrized.
+    def f(S):
+        return A @ S + S @ A.T
+
+    k1 = f(Sigma)
+    k2 = f(Sigma + 0.5 * h * k1)
+    k3 = f(Sigma + 0.5 * h * k2)
+    k4 = f(Sigma + h * k3)
+    S = Sigma + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return (S + S.T) / 2.0
+
+
+def stepwise_reference(segs, cloud, dt):
+    """simulate step by step: whole dt steps in one loop, then a separate
+    remainder step; each step applies the Pade exponential to the particles
+    and one RK4 step to the covariance."""
+    X, Sigma = cloud.positions.copy(), cloud.covariance()
+    times, positions, covariances = [cloud.time], [X.copy()], [Sigma.copy()]
+    seg_start = cloud.time
+    for seg in segs:
+        A, delta = seg.A, seg.duration
+        m = int(math.floor(delta / dt + 1e-9))
+        rem = delta - m * dt
+        if rem <= _REMAINDER_TOL * max(1.0, delta):
+            rem = 0.0
+        E = expm(A * dt)
+        for j in range(1, m + 1):
+            X = X @ E.T
+            Sigma = lyapunov_rk4(Sigma, A, dt)
+            t = seg_start + delta if j == m and rem == 0.0 else seg_start + j * dt
+            times.append(t)
+            positions.append(X.copy())
+            covariances.append(Sigma.copy())
+        if rem > 0.0:
+            X = X @ expm(A * rem).T
+            Sigma = lyapunov_rk4(Sigma, A, rem)
+            times.append(seg_start + delta)
+            positions.append(X.copy())
+            covariances.append(Sigma.copy())
+        seg_start = seg_start + delta
+    return np.array(times), np.array(positions), np.array(covariances)
+
+
+def worst_relative_gap(a, b):
+    """The largest Frobenius distance between samples a[i] and b[i],
+    relative to b[i]."""
+    axes = tuple(range(1, a.ndim))
+    return np.max(np.linalg.norm(a - b, axis=axes) / np.linalg.norm(b, axis=axes))
 
 
 def boundary_index(times, t):
@@ -256,45 +309,63 @@ class TestSimulate:
 
     @pytest.mark.parametrize("dt", [1e-2, 0.1, 0.07, 0.25, 0.3])
     def test_matches_two_branch_reference(self, dt):
-        # Reference: whole dt steps in one loop, then a separate remainder
-        # step. simulate folds both into one loop over the step sizes; the
-        # arrays must be bit-identical. Durations 1, 0.7 and 2.5 are
-        # divided by some of the dt values and not by others.
-        def reference(segs, cloud, dt):
-            X, Sigma = cloud.positions.copy(), cloud.covariance()
-            times, positions, covariances = [cloud.time], [X.copy()], [Sigma.copy()]
-            seg_start = cloud.time
-            for seg in segs:
-                A, delta = seg.A, seg.duration
-                m = int(math.floor(delta / dt + 1e-9))
-                rem = delta - m * dt
-                if rem <= _REMAINDER_TOL * max(1.0, delta):
-                    rem = 0.0
-                E = expm(A * dt)
-                for j in range(1, m + 1):
-                    X = X @ E.T
-                    Sigma = _lyapunov_rk4(Sigma, A, dt)
-                    t = seg_start + delta if j == m and rem == 0.0 else seg_start + j * dt
-                    times.append(t)
-                    positions.append(X.copy())
-                    covariances.append(Sigma.copy())
-                if rem > 0.0:
-                    X = X @ expm(A * rem).T
-                    Sigma = _lyapunov_rk4(Sigma, A, rem)
-                    times.append(seg_start + delta)
-                    positions.append(X.copy())
-                    covariances.append(Sigma.copy())
-                seg_start = seg_start + delta
-            return np.array(times), np.array(positions), np.array(covariances)
-
+        # simulate evaluates the steps in closed form on each generator's
+        # eigenbasis; the step-by-step loop is the reference. The times are
+        # the same floats; positions and covariances differ by the roundoff
+        # that the loop compounds from step to step. Durations 1, 0.7 and
+        # 2.5 are divided by some of the dt values and not by others.
         ch = minus_identity_chain()
         segs = segments_from_chain(FactorChain(ch.factors[:3]), [1.0, 0.7, 2.5])
         cloud = ParticleCloud(rng(63).standard_normal((5, 2)), time=0.3)
         traj = simulate(segs, cloud, dt=dt)
-        times, positions, covariances = reference(segs, cloud, dt)
+        times, positions, covariances = stepwise_reference(segs, cloud, dt)
         assert np.array_equal(traj.times, times)
-        assert np.array_equal(traj.positions, positions)
-        assert np.array_equal(traj.covariances, covariances)
+        assert worst_relative_gap(traj.positions, positions) <= 1e-12
+        assert worst_relative_gap(traj.covariances, covariances) <= 1e-12
+
+    def test_diagonal_covariance_is_rk4_power(self):
+        # On a diagonal generator diag(d), the j-th RK4 step multiplies each
+        # covariance entry (p, q) by T4(h (d_p + d_q))^j, and the remainder
+        # step of 5e-4 multiplies it by T4(5e-4 (d_p + d_q)) once more. The
+        # reference powers are taken in 40-digit decimals: simulate keeps
+        # them to a few ulps over the 1000 steps, where a power of the
+        # rounded T4 can be off by hundreds.
+        d = [0.7, -0.2, -1.1]
+        cloud = ParticleCloud(rng(64).standard_normal((6, 3)))
+        dt, delta, m = 1e-3, 1.0005, 1000
+        traj = simulate([FlowSegment(np.diag(d), delta)], cloud, dt=dt)
+        assert traj.sample_count == m + 2
+        gains = np.empty((m + 2, 3, 3))
+        with decimal.localcontext(decimal.Context(prec=40)):
+            def t4(x):
+                return 1 + x + x**2 / 2 + x**3 / 6 + x**4 / 24
+
+            for p in range(3):
+                for q in range(3):
+                    z = Decimal(d[p]) + Decimal(d[q])
+                    powers = [t4(Decimal(dt) * z) ** j for j in range(m + 1)]
+                    powers.append(powers[m] * t4(Decimal(delta - m * dt) * z))
+                    gains[:, p, q] = powers
+        assert_allclose(traj.covariances, cloud.covariance() * gains, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_final_positions_match_transition_matrix(self, case):
+        # Particles move by exact exponentials on each generator's
+        # eigenbasis, so no error compounds over the 1000 steps of a
+        # segment: the final positions are the Pade transition matrix
+        # applied to the initial ones, to roundoff.
+        r = rng(65 + case)
+        n = 2 + case % 5
+        while True:
+            A = r.standard_normal((n, n))
+            if np.linalg.det(A) > 0.0:
+                break
+        segs = segments_from_chain(factor_matrix(A))
+        X0 = r.standard_normal((16, n))
+        traj = simulate(segs, ParticleCloud(X0), dt=1e-3)
+        expected = X0 @ transition_matrix(segs).T
+        gap = np.linalg.norm(traj.positions[-1] - expected)
+        assert gap <= 1e-13 * np.linalg.norm(expected)
 
     def test_start_time_offsets_samples(self):
         segs = [FlowSegment(np.zeros((2, 2)), 1.0)]

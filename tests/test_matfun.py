@@ -139,6 +139,16 @@ class TestSymEig:
         with pytest.raises(InvalidInput):
             sym_eig([[np.nan, 0.0], [0.0, 1.0]])
 
+    def test_nonconvergence_is_numerical_failure(self, monkeypatch):
+        # LAPACK's error surfaces as the library's own, so the CLI maps it
+        # to exit code 2 like every other numerical failure.
+        def eigh(A):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(NumericalFailure, match="eigh did not converge"):
+            sym_eig(np.eye(2))
+
 
 class TestSqrtLogExp:
     def test_sqrt_diagonal(self):
