@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import math
 import os
@@ -18,11 +19,11 @@ import sys
 
 import numpy as np
 
+from ._output import _create, _CsvEncoder
 from .ballantine import FactorOptions, factor_matrix, verify
 from .errors import InputError, InvalidInput, NumericError
 from .flowsim import (
     ParticleCloud,
-    _csv_rows,
     _stream_csv,
     segments_from_chain,
     transition_matrix,
@@ -80,9 +81,9 @@ def _shape_matrix(flat, n, what):
 
 
 def _write(path, text) -> None:
-    """Write text to the file at path, UTF-8 with LF line endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write text to a new file at path, UTF-8 with LF line endings."""
+    with _create(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def load_matrix(path) -> np.ndarray:
@@ -192,13 +193,15 @@ def cmd_factor(args) -> int:
 def cmd_sweep(args) -> int:
     lams = _parse_float_list(args.lam, "--lambda")
     theta_max = args.theta_max * DEG
-    text = "theta_deg,lambda,phi_deg\n"
-    for lam in lams:
-        table = phi_sweep(lam, args.k, theta_max, args.steps)
-        rows = np.column_stack(
+    tables = [phi_sweep(lam, args.k, theta_max, args.steps) for lam in lams]
+    encoder = _CsvEncoder(3, args.steps)
+    out = io.BytesIO()
+    out.write(b"theta_deg,lambda,phi_deg\n")
+    for lam, table in zip(lams, tables):
+        encoder.write(out, np.column_stack(
             (table.theta / DEG, np.full(table.theta.size, lam), table.phi / DEG)
-        )
-        text += _csv_rows("%.17g,%.17g,%.17g", rows)
+        ))
+    text = out.getvalue().decode()
     if args.output:
         _write(args.output, text)
     else:

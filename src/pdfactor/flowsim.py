@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._output import _BLOCK_ROWS, _create, _CsvEncoder
 from .errors import DimensionMismatch, InvalidInput, InvalidStep
 from .matfun import _floats, _positive, _real, _require_symmetric, expm, spd_log, sym_eig
 from .planar import _as_chain
@@ -36,10 +37,6 @@ __all__ = [
 # A remainder below this fraction of the segment is roundoff from dt
 # dividing the duration evenly, not a genuine partial step.
 _REMAINDER_TOL = 1e-12
-# The CSV files are written in blocks of whole samples, about this many
-# rows each: the per-block cost vanishes, and a block is too small to
-# raise peak memory or to be returned to the system and faulted back in.
-_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -271,18 +268,14 @@ def transition_matrix(segments) -> np.ndarray:
     return P
 
 
-def _csv_rows(fmt, rows) -> str:
-    """The rows of a 2-D array as CSV lines, each formatted by fmt (one
-    %-conversion per column, comma-separated); one % formats them all."""
-    return ((fmt + "\n") * len(rows)) % tuple(rows.ravel().tolist())
-
-
 def write_trajectory_csv(trajectory, prefix) -> tuple:
     """Write <prefix>_trajectory.csv and <prefix>_covariance.csv.
 
     The trajectory file holds one row per (time, particle); the covariance
-    file one row per time with the full matrix flattened row-major. Both
-    use 17 significant digits, UTF-8, LF line endings.
+    file one row per time with the full matrix flattened row-major. Every
+    number, particle ids included, is byte for byte what '%.17g' % x
+    writes, in ASCII with LF line endings. Both files are created new: an
+    existing regular file is unlinked first, a symlink written through.
     """
     if not isinstance(trajectory, Trajectory):
         raise InvalidInput("expected a Trajectory")
@@ -314,34 +307,29 @@ def _stream_csv(segments, cloud, dt, prefix) -> tuple:
 
 def _write_csv(prefix, shape, blocks) -> tuple:
     """Write blocks (t, P, C) of samples, shaped (b,), (b, N, n) and
-    (b, n, n) for shape (N, n), as write_trajectory_csv describes. If a
-    block or the second open fails, the files opened are removed again."""
+    (b, n, n) for shape (N, n), as write_trajectory_csv describes: each
+    file opened by _create, its rows encoded by one _CsvEncoder whose
+    buffers fit a block. If a block or the second open fails, the files
+    opened are removed again."""
     N, n = shape
     paths = (f"{prefix}_trajectory.csv", f"{prefix}_covariance.csv")
     ids = np.arange(N)
-    traj_fmt = ",".join(["%.17g", "%d"] + ["%.17g"] * n)
-    cov_fmt = ",".join(["%.17g"] * (1 + n * n))
-    # A new file, not one truncated on open, which ext4 flushes to disk on
-    # close; a symlink is still written through.
-    for path in paths:
-        with contextlib.suppress(OSError):
-            if os.path.isfile(path) and not os.path.islink(path):
-                os.remove(path)
+    step = max(1, _BLOCK_ROWS // N)
+    traj, cov = _CsvEncoder(2 + n, step * N), _CsvEncoder(1 + n * n, step)
     ft = fc = None
     try:
-        with open(paths[0], "w", encoding="utf-8", newline="\n") as ft, \
-                open(paths[1], "w", encoding="utf-8", newline="\n") as fc:
-            ft.write("t,particle_id," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
-            fc.write("t," + ",".join(
+        with _create(paths[0]) as ft, _create(paths[1]) as fc:
+            ft.write(("t,particle_id," + ",".join(
+                f"x{i + 1}" for i in range(n)
+            ) + "\n").encode())
+            fc.write(("t," + ",".join(
                 f"sigma_{i + 1}{j + 1}" for i in range(n) for j in range(n)
-            ) + "\n")
+            ) + "\n").encode())
             for tb, Pb, Cb in blocks:
-                rows = np.column_stack(
+                traj.write(ft, np.column_stack(
                     (np.repeat(tb, N), np.tile(ids, tb.size), Pb.reshape(-1, n))
-                )
-                ft.write(_csv_rows(traj_fmt, rows))
-                rows = np.column_stack((tb, Cb.reshape(tb.size, n * n)))
-                fc.write(_csv_rows(cov_fmt, rows))
+                ))
+                cov.write(fc, np.column_stack((tb, Cb.reshape(tb.size, n * n))))
     except BaseException:
         # Remove the files this call opened; by now they are closed.
         for path, f in zip(paths, (ft, fc)):

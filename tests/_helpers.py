@@ -87,3 +87,30 @@ def chain_angle_oracle(theta, lam, k):
     """
     beta = math.atan2(2.0 * math.sin(theta), (lam + 1.0 / lam) * math.cos(theta))
     return (k - 2) * (theta - beta)
+
+
+def hard_floats(r):
+    """Floats at the edges of '%.17g', both signs, in random order: exact
+    ties at the 17th digit (odd c 2^-j whose decimal expansion has 18
+    digits) and other odd c 2^-j up to j = 80, the neighbours of 1e-5,
+    1e-4, 1, 1e16 and 1e17, decimals just below a decade, zeros,
+    subnormals, 2^53 +- 1, infinities and nan."""
+    vals = []
+    for j in range(1, 81):
+        # c 5^j has 18 digits, ending in 5, for c in [lo, hi).
+        lo, hi = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+        for _ in range(4):
+            c = int(r.integers(lo, hi)) if lo < hi else int(r.integers(1, 2**53))
+            vals.append(math.ldexp(c | 1, -j))
+    for edge in (1e-5, 1e-4, 1.0, 1e16, 1e17):
+        x = y = edge
+        for _ in range(4):
+            vals += [x, y]
+            x, y = np.nextafter(x, 0.0), np.nextafter(y, np.inf)
+    vals += [9.99999999999999999e-5, 9.9999999999999999e-5, 0.99999999999999999,
+             9999999999999999.9, 99999999999999999.0]
+    vals += [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             float(2**53 - 1), float(2**53), float(2**53 + 1), float(2**53 + 2),
+             math.inf, math.nan]
+    vals = np.array(vals)
+    return r.permutation(np.concatenate([vals, -vals]))

@@ -18,9 +18,9 @@ from pdfactor.flowsim import (
     simulate,
     write_trajectory_csv,
 )
-from pdfactor.planar import phi_sweep
+from pdfactor.planar import SweepTable
 
-from _helpers import hilbert, rng
+from _helpers import hard_floats, hilbert, rng
 
 DISPLAY_FACTORS = [
     [5.48, 0.0, 0.0, 0.18],
@@ -334,22 +334,35 @@ class TestSweepCommand:
         assert b"\r" not in raw
         assert raw.decode("utf-8").splitlines()[0] == "theta_deg,lambda,phi_deg"
 
-    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
-    def test_bytes_match_per_row_reference(self, tmp_path, capsys, to_file):
-        # The command formats each lambda's block with one %; this per-row
-        # loop is the reference, and the bytes must be the same. The lambda
-        # values include 1 (a flat curve of exact zeros) and a non-integer.
+    @pytest.mark.parametrize("to_file, hard", [
+        (True, False), (False, False), (True, True), (False, True),
+    ], ids=["file", "stdout", "file_hard_floats", "stdout_hard_floats"])
+    def test_bytes_match_per_row_reference(self, tmp_path, capsys, monkeypatch,
+                                           to_file, hard):
+        # The command encodes the rows with numpy; this per-row loop is the
+        # reference, and the bytes must be the same. The lambda values
+        # include 1 (a flat curve of exact zeros) and a non-integer. In the
+        # hard_floats case, a stand-in for phi_sweep takes any lambda and
+        # puts the hard cases of %.17g in every column, degrees unconverted.
         lams, k, theta_max, steps = [1.0, 2.5, 30.0, 1.0000001], 5, 170.0, 1777
-        deg = math.pi / 180.0
+        if hard:
+            values = hard_floats(rng(17))
+            lams, steps = values[:40].tolist(), values.size
+            monkeypatch.setattr(cli, "DEG", 1.0)
+            monkeypatch.setattr(cli, "phi_sweep", lambda lam, k, theta_max, steps:
+                                SweepTable(lam, k, values, values[::-1]))
+        deg = cli.DEG
         lines = ["theta_deg,lambda,phi_deg"]
         for lam in lams:
-            table = phi_sweep(lam, k, theta_max * deg, steps)
+            table = cli.phi_sweep(lam, k, theta_max * deg, steps)
             for th, ph in zip(table.theta, table.phi):
                 lines.append("%.17g,%.17g,%.17g" % (th / deg, lam, ph / deg))
         reference = ("\n".join(lines) + "\n").encode("utf-8")
         out = tmp_path / "sweep.csv"
-        argv = ["sweep", "--k", str(k), "--lambda", "1,2.5", "--lambda", "30",
-                "--lambda", "1.0000001", "--theta-max", str(theta_max),
+        lam_args = ["--lambda", "1,2.5", "--lambda", "30", "--lambda", "1.0000001"]
+        if hard:
+            lam_args = ["--lambda=" + ",".join(map(repr, lams))]
+        argv = ["sweep", "--k", str(k), *lam_args, "--theta-max", str(theta_max),
                 "--steps", str(steps)]
         rc = main(argv + (["--output", str(out)] if to_file else []))
         assert rc == 0
@@ -690,6 +703,40 @@ class TestSimulateCommand:
         trajectory_bytes = 8 * T * (1 + N * n + n * n)
         assert long <= 1.5 * short
         assert long < trajectory_bytes
+
+
+class TestOutputFiles:
+    WRITERS = {
+        "save_matrix": lambda path, tmp: save_matrix(path, np.eye(2)),
+        "save_chain": lambda path, tmp: save_chain(path, load_chain(
+            write_chain(tmp / "c.json", [[2.0, 0.0, 0.0, 0.5]]))),
+        "factor": lambda path, tmp: main([
+            "factor", write_matrix(tmp / "A.json", -np.eye(2)), "--output", path]),
+        "sweep": lambda path, tmp: main([
+            "sweep", "--lambda", "2", "--steps", "10", "--output", path]),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_old_file_unlinked_and_symlink_written_through(self, tmp_path, capsys,
+                                                           writer):
+        # Every output goes to a new file: an existing regular file is
+        # unlinked, not truncated, so a hard link to it keeps the old bytes.
+        # A symlink is kept, and its target gets the output.
+        write = self.WRITERS[writer]
+        out, hard = tmp_path / "out", tmp_path / "hard"
+        out.write_text("old\n")
+        os.link(out, hard)
+        write(str(out), tmp_path)
+        assert hard.read_text() == "old\n"
+        fresh = out.read_bytes()
+        assert fresh != b"old\n"
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        write(str(link), tmp_path)
+        capsys.readouterr()
+        assert link.is_symlink()
+        assert target.read_bytes() == fresh
 
 
 class TestErrorMapping:

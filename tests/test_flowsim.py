@@ -1,5 +1,6 @@
 import decimal
 import hashlib
+import io
 import math
 from decimal import Decimal
 from pathlib import Path
@@ -17,6 +18,7 @@ from pdfactor.errors import (
     InvalidStep,
     NotPositiveDefinite,
 )
+from pdfactor._output import _CsvEncoder
 from pdfactor.flowsim import (
     _REMAINDER_TOL,
     FlowSegment,
@@ -30,7 +32,7 @@ from pdfactor.flowsim import (
 from pdfactor.matfun import expm, spd_log, sym_exp
 from pdfactor.planar import FactorChain, build_chain, plan_scheme, rotation2
 
-from _helpers import rng
+from _helpers import hard_floats, rng
 
 DEG = math.pi / 180.0
 
@@ -483,7 +485,7 @@ class TestCsvExport:
     @pytest.mark.parametrize("T, N, n", [(700, 7, 3), (3, 4100, 2)],
                              ids=["blocks_of_steps", "particles_past_block"])
     def test_bytes_match_per_row_reference(self, tmp_path, T, N, n):
-        # The writer formats blocks of rows with one % each; this per-row
+        # The writer encodes blocks of rows with numpy; this per-row
         # writer is the reference, and the two files must have the same
         # sha256. The shapes cross block boundaries, and one has more
         # particles than a block has rows.
@@ -506,17 +508,42 @@ class TestCsvExport:
                     fh.write("%.17g,%s\n" % (traj.times[it], entries))
 
         r = np.random.default_rng(72)
-        # Values over many decades, with exact zeros and integers, exercise
-        # every branch of %.17g.
+        # Values over many decades, with exact zeros and integers, and the
+        # hard cases of %.17g, non-finite ones included, in both files.
         P = r.standard_normal((T, N, n)) * 10.0 ** r.integers(-30, 30, (T, N, n))
         P[0] = 0.0
         P[1] = np.round(P[1] * 1e-30)
-        traj = Trajectory(
-            np.cumsum(r.uniform(1e-3, 1.0, T)), P, r.standard_normal((T, n, n))
-        )
+        hard = hard_floats(r)
+        P.ravel()[-hard.size:] = hard
+        C = r.standard_normal((T, n, n))
+        k = min(C.size, hard.size)
+        C.ravel()[:k] = hard[:k]
+        traj = Trajectory(np.cumsum(r.uniform(1e-3, 1.0, T)), P, C)
         new = write_trajectory_csv(traj, str(tmp_path / "new"))
         reference(traj, str(tmp_path / "ref"))
         for path, kind in zip(new, ("trajectory", "covariance")):
             ref = tmp_path / f"ref_{kind}.csv"
             digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
             assert digest == hashlib.sha256(ref.read_bytes()).hexdigest()
+
+    def test_encoder_matches_17g_on_a_million_floats(self):
+        # Seeded property test of the CSV encoder against '%.17g' itself:
+        # 2^20 floats with random signs and mantissas, half with a binary
+        # exponent drawn from all 2048 (subnormals, inf and nan included)
+        # and half from those of 2^-14..2^56, where the encoder computes
+        # the digits. A quarter of the mantissas end in a random number of
+        # zero bits, so that short decimals (integers, halves, ...) show.
+        r = rng(74)
+        size = 2**20
+        exponent = np.where(r.random(size) < 0.5, r.integers(0, 2048, size),
+                            r.integers(1023 - 14, 1023 + 57, size))
+        zero_bits = np.where(r.random(size) < 0.25, r.integers(0, 53, size), 0)
+        mantissa = r.integers(0, 2**52, size) >> zero_bits << zero_bits
+        bits = (r.integers(0, 2, size) << 63) | (exponent << 52) | mantissa
+        x = bits.astype(np.int64).view(np.float64)
+        out = io.BytesIO()
+        _CsvEncoder(8, size // 8).write(out, x.reshape(-1, 8))
+        got = out.getvalue().decode("ascii").split("\n")
+        want = (("%.17g," * 7 + "%.17g\n") * (size // 8) % tuple(x.tolist())).split("\n")
+        wrong = [(g, w) for g, w in zip(got, want) if g != w]
+        assert len(got) == len(want) and not wrong, wrong[:3]
