@@ -22,7 +22,7 @@ from .errors import (
     NumericalFailure,
 )
 from .matfun import (
-    SPD_RTOL, _as_square, _frob, _positive, _real, _spd_ok, _sym_spd, polar,
+    SPD_RTOL, _as_square, _frob, _polar, _positive, _real, _spd_ok, _sym_spd,
 )
 from .planar import (
     FactorChain,
@@ -52,9 +52,9 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorOptions:
-    """Knobs for the factorization pipeline.
+    """Knobs for the factorization pipeline, checked when made, then frozen.
 
     k_rotation is the factor count per rotation stage (5 covers every
     angle including half turns; more factors allow smaller lam), lam_budget
@@ -70,10 +70,12 @@ class FactorOptions:
     tol_verify: float = 1e-8
 
     def __post_init__(self):
-        self.k_rotation, self.lam_budget = _check_scheme(
+        k, lam = _check_scheme(
             self.k_rotation, self.lam_budget, "k_rotation", "lam_budget"
         )
-        self.tol_verify = _positive(self.tol_verify, "tol_verify")
+        object.__setattr__(self, "k_rotation", k)
+        object.__setattr__(self, "lam_budget", lam)
+        object.__setattr__(self, "tol_verify", _positive(self.tol_verify, "tol_verify"))
 
 
 def _options(opts) -> FactorOptions:
@@ -179,7 +181,7 @@ def factor_matrix(Phi, opts: FactorOptions | None = None) -> FactorChain:
     # polar validates Phi and rejects a numerically singular input first;
     # past that gate det V = +-1 carries the sign of det Phi reliably at
     # every scale; V is orthogonal by construction, so det V = 1 puts it in SO(n).
-    V, S = polar(Phi)
+    V, S, kappa = _polar(Phi)
     det = float(np.linalg.det(V))
     if det < 0.0:
         raise NonPositiveDeterminant(
@@ -187,12 +189,9 @@ def factor_matrix(Phi, opts: FactorOptions | None = None) -> FactorChain:
             "always has positive determinant"
         )
     _require_det_one(det)
-    # The stretch is a factor of the chain, so it must pass the same SPD
-    # certificate as verify applies; its eigenvalue ratio is that of Phi.
-    # S is exactly symmetric, and LAPACK scales it internally at any scale.
-    smin, smax = np.linalg.eigvalsh(S)[[0, -1]]
-    if not _spd_ok(smax, smin):
-        kappa = smax / smin if smin > 0.0 else math.inf
+    # The stretch is a factor, so it must pass verify's SPD certificate; its
+    # eigenvalues are Phi's singular values, over sigma_n they span [1, kappa].
+    if not _spd_ok(kappa, 1.0):
         raise NumericalFailure(
             f"the stretch has condition number {kappa:.3e}, at or past "
             f"the SPD certificate's limit {1.0 / SPD_RTOL:.0e}"

@@ -23,7 +23,6 @@ from ._output import _create, _CsvEncoder
 from .ballantine import FactorOptions, factor_matrix, verify
 from .errors import InputError, InvalidInput, NumericError
 from .flowsim import (
-    ParticleCloud,
     _stream_csv,
     segments_from_chain,
     transition_matrix,
@@ -251,7 +250,7 @@ def cmd_simulate(args) -> int:
     if args.durations:
         durations = _parse_float_list(args.durations, "--durations")
     segments = segments_from_chain(chain, durations)
-    _stream_csv(segments, ParticleCloud(positions), args.dt, args.out_prefix)
+    _stream_csv(segments, positions, args.dt, args.out_prefix)
     _emit(_matrix_json(transition_matrix(segments)))
     return 0
 

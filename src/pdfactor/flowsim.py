@@ -171,8 +171,8 @@ def _segments(segments) -> list:
 
 def _flow(segments, cloud, dt) -> tuple:
     """Check a run and take each generator's eigendecomposition; return the
-    sample shape (T, N, n) and a generator of blocks (t, X, Sigma) of at
-    most _BLOCK_ROWS // N samples, the initial state first."""
+    sample shape (T, N, n) and a generator of blocks (t, X, Sigma) of at most
+    _BLOCK_ROWS // N samples, the initial state first; it checks their times."""
     segs = _segments(segments)
     n = segs[0].n
     if not isinstance(cloud, ParticleCloud):
@@ -215,6 +215,7 @@ def _blocks(cloud, dt, plan):
     N, n = X.shape
     step = max(1, _BLOCK_ROWS // N)
     yield np.array([start]), X[np.newaxis], Sigma[np.newaxis]
+    before = start
     for (Q, d), delta, m, rem in plan:
         Y, S = X @ Q, Q.T @ Sigma @ Q
         z = d[:, np.newaxis] + d
@@ -231,6 +232,8 @@ def _blocks(cloud, dt, plan):
                 if rem:
                     tau[-1] = m * dt + rem
                     logs[-1] = m * log_gain + _rk4_log_gain(rem * z)
+            _require_increasing(t, before)
+            before = t[-1]
             Xb = (Y * np.exp(np.multiply.outer(tau, d))[:, np.newaxis]).reshape(-1, n)
             Xb = (Xb @ Q.T).reshape(j.size, N, n)
             Cb = Q @ (S * np.exp(logs)) @ Q.T
@@ -281,7 +284,7 @@ def write_trajectory_csv(trajectory, prefix) -> tuple:
         raise InvalidInput("expected a Trajectory")
     t, P, C = trajectory.times, trajectory.positions, trajectory.covariances
     step = max(1, _BLOCK_ROWS // P.shape[1])
-    return _write_csv(prefix, P.shape[1:], (
+    return _write_csv(prefix, P.shape, (
         (t[b:b + step], P[b:b + step], C[b:b + step])
         for b in range(0, t.size, step)
     ))
@@ -289,29 +292,18 @@ def write_trajectory_csv(trajectory, prefix) -> tuple:
 
 def _stream_csv(segments, cloud, dt, prefix) -> tuple:
     """write_trajectory_csv(simulate(segments, cloud, dt), prefix), byte for
-    byte, holding one block of samples at a time. Every check and every
-    eigendecomposition comes before the first byte is written."""
-    (_, N, n), blocks = _flow(segments, cloud, dt)
-
-    def checked():
-        # The times strictly increase, as in a Trajectory: within each
-        # block and across block boundaries.
-        last = -math.inf
-        for block in blocks:
-            _require_increasing(block[0], last)
-            last = block[0][-1]
-            yield block
-
-    return _write_csv(prefix, (N, n), checked())
+    byte, holding one block of samples at a time. Every check but that of
+    each block's times comes before the first byte is written."""
+    return _write_csv(prefix, *_flow(segments, cloud, dt))
 
 
 def _write_csv(prefix, shape, blocks) -> tuple:
     """Write blocks (t, P, C) of samples, shaped (b,), (b, N, n) and
-    (b, n, n) for shape (N, n), as write_trajectory_csv describes: each
-    file opened by _create, its rows encoded by one _CsvEncoder whose
-    buffers fit a block. If a block or the second open fails, the files
-    opened are removed again."""
-    N, n = shape
+    (b, n, n) for sample shape (T, N, n), as write_trajectory_csv
+    describes: each file opened by _create, its rows encoded by one
+    _CsvEncoder whose buffers fit a block. If a block or the second open
+    fails, the files opened are removed again."""
+    _, N, n = shape
     paths = (f"{prefix}_trajectory.csv", f"{prefix}_covariance.csv")
     ids = np.arange(N)
     step = max(1, _BLOCK_ROWS // N)

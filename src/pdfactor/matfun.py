@@ -7,9 +7,9 @@ and the SPD matrix functions evaluated through it. Block diagonalization
 and verification call the stacked LAPACK routines directly, since they
 take many small decompositions at once and need no sign convention. The
 polar decomposition takes one SVD of the matrix itself, whose singular
-values also give the exact 2-norm condition number for the singularity
-gate, and the general exponential uses scaling and squaring with one
-diagonal Pade approximant, of degree 13.
+values give the exact 2-norm condition number that the singularity gate
+and the stretch certificate read. The general exponential uses scaling
+and squaring with one diagonal Pade approximant, of degree 13.
 """
 
 from __future__ import annotations
@@ -302,6 +302,11 @@ def polar(Phi) -> tuple[np.ndarray, np.ndarray]:
     NumericalFailure
         If the SVD does not converge.
     """
+    return _polar(Phi)[:2]
+
+
+def _polar(Phi) -> tuple[np.ndarray, np.ndarray, float]:
+    """polar's V and S, and kappa = sigma_1 / sigma_n from the same SVD."""
     Phi = _as_square(Phi, "polar input")
     n = Phi.shape[0]
     # Factor Phi times an exact power of two that brings its largest entry
@@ -319,4 +324,4 @@ def polar(Phi) -> tuple[np.ndarray, np.ndarray]:
         )
     V = U @ Wt
     VtP = V.T @ Phi
-    return V, (VtP + VtP.T) / 2.0
+    return V, (VtP + VtP.T) / 2.0, kappa

@@ -86,7 +86,7 @@ def _check_scheme(k, lam, k_name="k", lam_name="lam") -> tuple:
     return kf, lamf
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainParams:
     """Scheme parameters: scale lam >= 1, step angle theta, factor count k."""
 
@@ -95,8 +95,10 @@ class ChainParams:
     k: int
 
     def __post_init__(self):
-        self.k, self.lam = _check_scheme(self.k, self.lam)
-        self.theta = _real(self.theta, "theta")
+        k, lam = _check_scheme(self.k, self.lam)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "theta", _real(self.theta, "theta"))
 
 
 @dataclass

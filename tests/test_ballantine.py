@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -297,6 +299,26 @@ class TestFactorMatrix:
             outcomes.add("passed")
         assert outcomes == {"passed", "failed"}
 
+    def test_stretch_certificate_edge(self):
+        # The certificate reads sigma_1 / sigma_n from polar's SVD, verify
+        # reads the eigenvalues of S; both have absolute error about eps sigma_1,
+        # so within 1e-3 of the limit 1e12 they can round to opposite sides.
+        # Outside that window every input below verifies, and every input
+        # above raises NumericalFailure naming Phi's condition number.
+        r = rng(65)
+        edge = 1e12 * np.array([0.998, 1.002])
+        for c in np.append(np.logspace(11.0, 13.0, 38), edge):
+            n = int(r.integers(2, 9))
+            U, W = random_rotation(r, n), random_rotation(r, n)
+            Phi = (U * np.logspace(0.0, -math.log10(c), n)) @ W.T
+            if c < 1e12:
+                assert verify(factor_matrix(Phi), Phi, 1e-8).passed, (n, c)
+                continue
+            with pytest.raises(NumericalFailure) as err:
+                factor_matrix(Phi)
+            quoted = re.search(r"condition number (\S+),", str(err.value)).group(1)
+            assert float(quoted) == pytest.approx(np.linalg.cond(Phi), rel=1e-3)
+
     def test_huge_entries(self):
         # det(Phi) and ||Phi||_F^2 overflow at this scale; the rescaled
         # polar SVD, det V and verify's power-of-two units do not.
@@ -391,10 +413,10 @@ class TestFactorMatrix:
             factor_matrix(np.ones((2, 3)))
 
     def test_one_call_of_each_linalg_routine(self, monkeypatch):
-        # On a generic input the factor path takes one SVD (polar), one det
-        # (the sign and SO(n) gates), one eigvalsh (the stretch certificate)
-        # and one eigh (the rotation split), and no norm; verify takes one
-        # stacked eigvalsh.
+        # On a generic input the factor path takes one SVD (polar, whose
+        # sigma_1 / sigma_n is also the stretch certificate), one det (the
+        # sign and SO(n) gates) and one eigh (the rotation split), and no
+        # eigvalsh or norm; verify takes one stacked eigvalsh.
         Phi = rng(70).standard_normal((6, 6))
         if np.linalg.det(Phi) < 0.0:
             Phi[0] = -Phi[0]
@@ -407,7 +429,7 @@ class TestFactorMatrix:
 
             monkeypatch.setattr(np.linalg, name, counted)
         chain = factor_matrix(Phi)
-        assert calls == {"svd": 1, "eigh": 1, "eigvalsh": 1, "det": 1}
+        assert calls == {"svd": 1, "eigh": 1, "det": 1}
         calls.clear()
         assert verify(chain, Phi, 1e-8).passed
         assert calls["eigvalsh"] == 1
@@ -495,6 +517,20 @@ class TestFactorOptions:
         assert o.k_rotation == 5
         assert o.lam_budget == 1000.0
         assert o.tol_verify == 1e-8
+
+    @pytest.mark.parametrize("name, value", [
+        ("k_rotation", 2), ("k_rotation", 3.5), ("lam_budget", -5), ("tol_verify", 0.0),
+    ])
+    def test_fields_are_checked_and_frozen(self, name, value):
+        # A field set after construction would reach the factor path
+        # unchecked, so none can be set; replace makes a checked copy.
+        opts = FactorOptions()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(opts, name, value)
+        with pytest.raises(InvalidParams):
+            dataclasses.replace(opts, **{name: value})
+        quarter = rotation2(math.pi / 2)
+        assert verify(factor_matrix(quarter, opts), quarter, opts.tol_verify).passed
 
     def test_validation(self):
         with pytest.raises(InvalidParams):

@@ -24,6 +24,7 @@ from pdfactor.flowsim import (
     FlowSegment,
     ParticleCloud,
     Trajectory,
+    _stream_csv,
     segments_from_chain,
     simulate,
     transition_matrix,
@@ -379,6 +380,27 @@ class TestSimulate:
         traj = simulate(segs, ParticleCloud(np.eye(2)), dt=7e-3)
         assert np.all(np.diff(traj.times) > 0.0)
         assert traj.times[-1] == 5.0
+
+    @pytest.mark.parametrize("particles, start, durations, dt", [
+        (2, 1e20, None, 1e-3),
+        (1, 20478.0, [1.0, 1.0000000000015], 1.0),
+        (600, 20478.0, [1.0, 1.0000000000015], 1.0),
+    ], ids=["huge_start", "in_block", "across_blocks"])
+    def test_repeated_sample_time(self, tmp_path, particles, start, durations, dt):
+        # Times are checked as the blocks are made, so simulate and the CSV
+        # stream fail alike, and the stream removes its files. From 20478
+        # the second segment's remainder step of 1.5e-12 is below half an
+        # ulp, so its two samples share a time: in one block for one
+        # particle, in blocks of one sample each for 600.
+        chain = FactorChain([np.diag([3.0, 1.0 / 3.0]), np.eye(2)])
+        segs = segments_from_chain(chain, durations)
+        cloud = ParticleCloud(rng(66).standard_normal((particles, 2)), time=start)
+        message = "^sample times must be strictly increasing$"
+        with pytest.raises(InvalidInput, match=message):
+            simulate(segs, cloud, dt=dt)
+        with pytest.raises(InvalidInput, match=message):
+            _stream_csv(segs, cloud, dt, tmp_path / "x")
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_dt(self):
         segs = [FlowSegment(np.zeros((2, 2)), 1.0)]

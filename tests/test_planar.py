@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -75,6 +76,16 @@ class TestChainParams:
             ChainParams(lam=math.inf, theta=0.3, k=3)
         with pytest.raises(InvalidParams):
             ChainParams(lam=2.0, theta=math.nan, k=3)
+
+    def test_fields_are_frozen(self):
+        # build_chain trusts its params: k = 2 set afterwards would build a
+        # two-factor chain. replace makes a new, checked ChainParams.
+        p = ChainParams(lam=2.0, theta=0.3, k=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.k = 2
+        with pytest.raises(InvalidParams):
+            dataclasses.replace(p, k=2)
+        assert len(build_chain(p).factors) == 3
 
     def test_negative_theta_allowed(self):
         p = ChainParams(lam=2.0, theta=-1.0, k=4)
