@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import math
@@ -331,5 +332,9 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def _entry() -> int:
+    """The process entry of ``pdfactor`` and ``python -m pdfactor``. What is
+    imported by now lives until exit, so it moves to the permanent
+    generation, where no later collection walks it, finalization's included."""
+    gc.freeze()
+    return main()

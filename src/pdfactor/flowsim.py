@@ -126,6 +126,13 @@ class Trajectory:
         self.positions = P
         self.covariances = C
 
+    @classmethod
+    def _trusted(cls, t, P, C) -> Trajectory:
+        """Checked samples of matching shapes, taken without copy or checks."""
+        traj = cls.__new__(cls)
+        traj.times, traj.positions, traj.covariances = t, P, C
+        return traj
+
     @property
     def sample_count(self) -> int:
         return self.times.size
@@ -258,7 +265,7 @@ def simulate(segments, cloud, dt=1e-3) -> Trajectory:
         j = i + tb.size
         t[i:j], P[i:j], C[i:j] = tb, Pb, Cb
         i = j
-    return Trajectory(t, P, C)
+    return Trajectory._trusted(t, P, C)
 
 
 def transition_matrix(segments) -> np.ndarray:

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -787,6 +789,55 @@ class TestErrorMapping:
 
 
 class TestEntryPoints:
+    def test_entry_freezes_then_runs_main(self, monkeypatch):
+        events = []
+
+        def command(args):
+            events.append(args.lam)
+            return 3
+
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(cli, "cmd_sweep", command)
+        monkeypatch.setattr(sys, "argv", ["pdfactor", "sweep", "--lambda", "2"])
+        assert cli._entry() == 3
+        assert events == ["freeze", ["2"]]
+
+    def test_main_leaves_collector_alone(self, tmp_path, capsys):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert main(["factor", write_matrix(tmp_path / "m.json", -np.eye(2))]) == 0
+        capsys.readouterr()
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_console_script_runs_entry(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        text = pyproject.read_text(encoding="utf-8")
+        scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.split() == ["pdfactor", "=", '"pdfactor.cli:_entry"']
+
+    @pytest.mark.parametrize("code", [1, 2, 3])
+    def test_module_exit_codes(self, tmp_path, code):
+        # One input of each failure kind: invalid input, unreachable target,
+        # failed verification.
+        minus_identity = write_matrix(tmp_path / "m.json", -np.eye(2))
+        argv = {
+            1: ["factor", write_matrix(tmp_path / "f.json", np.diag([1.0, -1.0]))],
+            2: ["factor", minus_identity, "--factors", "4"],
+            3: ["verify", "--chain", write_chain(tmp_path / "d.json", DISPLAY_FACTORS),
+                "--target", minus_identity],
+        }[code]
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdfactor", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == code
+        if code == 3:
+            assert proc.stderr == ""
+            assert json.loads(proc.stdout)["passed"] is False
+        else:
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "pdfactor", "sweep", "--k", "3",

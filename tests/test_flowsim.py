@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdfactor import matfun
+from pdfactor import flowsim, matfun
 from pdfactor.ballantine import factor_matrix
 from pdfactor.errors import (
     DimensionMismatch,
@@ -473,6 +473,34 @@ class TestTrajectoryType:
                 np.zeros((2, 1, 2)),
                 np.zeros((2, 3, 3)),
             )
+
+    def test_simulate_checks_each_block_once(self, monkeypatch):
+        # _blocks checks the times of every block after the initial state;
+        # the trajectory simulate returns does not check them again, and it
+        # is the one the public constructor gives, bit for bit.
+        calls, blocks = [], []
+
+        def require_increasing(t, after=-math.inf):
+            calls.append(t.size)
+            return real_require_increasing(t, after)
+
+        def counted_blocks(*args):
+            for block in real_blocks(*args):
+                blocks.append(block[0].size)
+                yield block
+
+        real_require_increasing = flowsim._require_increasing
+        real_blocks = flowsim._blocks
+        monkeypatch.setattr(flowsim, "_require_increasing", require_increasing)
+        monkeypatch.setattr(flowsim, "_blocks", counted_blocks)
+        segs = [FlowSegment(np.diag([0.5, -0.5]), 1.5),
+                FlowSegment(np.array([[0.0, 0.3], [0.3, 0.1]]), 1.25)]
+        traj = simulate(segs, ParticleCloud([[1.0, 0.0]]), dt=1e-3)
+        monkeypatch.undo()
+        assert len(blocks) == 5 and calls == blocks[1:]
+        ref = Trajectory(traj.times, traj.positions, traj.covariances)
+        assert ref.times is traj.times and ref.positions is traj.positions
+        assert ref.covariances is traj.covariances
 
 
 class TestCsvExport:
