@@ -10,7 +10,7 @@ polar stretch plus at most five per rotation stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .planar import (
 )
 from .spectral import (
     _blocks_in_identity,
-    _pair_rows,
     _require_det_one,
     _special_orthogonal,
     _split,
@@ -78,11 +77,14 @@ class FactorOptions:
         object.__setattr__(self, "tol_verify", _positive(self.tol_verify, "tol_verify"))
 
 
+_DEFAULTS = FactorOptions()  # frozen, so every call without options shares it
+
+
 def _options(opts) -> FactorOptions:
     """opts, or the defaults when it is None; InvalidParams for anything
     that is not a FactorOptions."""
     if opts is None:
-        return FactorOptions()
+        return _DEFAULTS
     if isinstance(opts, FactorOptions):
         return opts
     raise InvalidParams(f"expected FactorOptions, got {type(opts).__name__}")
@@ -106,20 +108,10 @@ class VerificationReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "factor_count": self.factor_count,
-            "tol": self.tol,
-            "passed": self.passed,
-            "factors": [
-                {
-                    "symmetry_defect": f.symmetry_defect,
-                    "min_eigenvalue": f.min_eigenvalue,
-                    "condition": f.condition,
-                }
-                for f in self.factors
-            ],
-        }
+        """The report as JSON data, each factor as a dict of its stats."""
+        d = asdict(self)
+        keys = ("residual", "factor_count", "tol", "passed", "factors")
+        return {key: d[key] for key in keys}
 
 
 def factor_rotation2(psi, opts: FactorOptions | None = None) -> FactorChain:
@@ -164,8 +156,7 @@ def _stages(U, theta, opts: FactorOptions) -> list:
         return []
     k = opts.k_rotation
     a, b, d = _chain_factors(*_plan(theta, k, opts.lam_budget), k)
-    D = _blocks_in_identity(U.shape[0], _pair_rows(theta.size), a, b, b, d)
-    N = U @ D @ U.T
+    N = U @ _blocks_in_identity(U.shape[0], a, b, b, d) @ U.T
     return list((N + N.transpose(0, 2, 1)) / 2.0)
 
 
@@ -200,7 +191,7 @@ def factor_matrix(Phi, opts: FactorOptions | None = None) -> FactorChain:
     D = S - np.eye(V.shape[0])
     # The norm is only taken once every entry is small, so its squares
     # cannot overflow for a huge stretch.
-    if stages and np.max(np.abs(D)) <= 1e-10 and _frob(D) <= 1e-10:
+    if stages and np.abs(D).max() <= 1e-10 and _frob(D) <= 1e-10:
         return FactorChain._trusted(stages)
     return FactorChain._trusted([S] + stages)
 
@@ -223,19 +214,15 @@ def verify(chain, target, tol) -> VerificationReport:
         )
     # Measure in units of an exact power of two near the largest target
     # entry, so the squares inside the norms cannot overflow.
-    e = math.frexp(float(np.max(np.abs(target))))[1]
+    e = math.frexp(float(np.abs(target).max()))[1]
     tnorm = _frob(np.ldexp(target, -e))
     if tnorm == 0.0:
         raise InvalidInput("verify target is the zero matrix")
     residual = _frob(np.ldexp(chain.product() - target, -e)) / tnorm
 
-    defects, symmetric, dmax, dmin = _sym_spd(np.stack(chain.factors))
+    defects, symmetric, dmax, dmin = _sym_spd(np.array(chain.factors))
     stats = [
-        FactorStats(
-            symmetry_defect=defect,
-            min_eigenvalue=lo,
-            condition=hi / lo if lo > 0.0 else math.inf,
-        )
+        FactorStats(defect, lo, hi / lo if lo > 0.0 else math.inf)
         for defect, hi, lo in zip(defects.tolist(), dmax.tolist(), dmin.tolist())
     ]
     spd = symmetric & _spd_ok(dmax, dmin)

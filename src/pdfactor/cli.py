@@ -338,3 +338,7 @@ def _entry() -> int:
     generation, where no later collection walks it, finalization's included."""
     gc.freeze()
     return main()
+
+
+if __name__ == "__main__":  # python -m pdfactor.cli: a second copy, no launcher
+    sys.exit("error: run python -m pdfactor or pdfactor")

@@ -66,7 +66,7 @@ def _as_square(A, name="matrix") -> np.ndarray:
     A = _floats(A, name)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidInput(f"{name} must be square, got shape {A.shape}")
-    if A.size and not np.all(np.isfinite(A)):
+    if A.size and not np.isfinite(A).all():
         raise InvalidInput(f"{name} has non-finite entries")
     if A.shape[0] == 0:
         raise InvalidInput(f"{name} is empty")
@@ -107,29 +107,32 @@ def _frob(A) -> float:
     return math.sqrt(x.dot(x))
 
 
+def _frobs(F) -> np.ndarray:
+    """np.linalg.norm(F, axis=(-2, -1)) bit for bit, without the wrapper."""
+    return np.sqrt(np.add.reduce(F * F, axis=(-2, -1)))
+
+
 def _sym_check(F) -> tuple:
     """Symmetry check of a stack F (..., n, n), safe at every scale: each
     matrix's Frobenius symmetry defect, whether it is symmetric to roundoff
     (defect <= SYM_RTOL (1 + ||F||_F)), and the exponents ex and the stack
     Fs = F / 2^ex it is measured in: 2^ex is a power of two near the largest
-    entry when that is 1 or more, so the squares in the norms cannot
-    overflow; below 1 the "1 +" keeps its meaning."""
-    ex = np.maximum(0, np.frexp(np.max(np.abs(F), axis=(-2, -1)))[1])
+    entry when that is 1 or more, so the squares in the norms (_frobs)
+    cannot overflow; below 1 the "1 +" keeps its meaning."""
+    ex = np.maximum(0, np.frexp(np.abs(F).max(axis=(-2, -1)))[1])
     Fs = np.ldexp(F, -ex[..., None, None])
-    defect = np.linalg.norm(Fs - np.swapaxes(Fs, -1, -2), axis=(-2, -1))
-    symmetric = defect <= SYM_RTOL * (
-        np.ldexp(1.0, -ex) + np.linalg.norm(Fs, axis=(-2, -1))
-    )
+    defect = _frobs(Fs - Fs.swapaxes(-1, -2))
+    symmetric = defect <= SYM_RTOL * (np.ldexp(1.0, -ex) + _frobs(Fs))
     return np.ldexp(defect, ex), symmetric, ex, Fs
 
 
 def _sym_spd(F) -> tuple:
     """Symmetry and SPD checks of a stack F (..., n, n), safe at every scale:
     _sym_check's defect and verdict, and the extreme eigenvalues dmax, dmin
-    of each symmetric part. The SPD certificate is
-    ``symmetric & _spd_ok(dmax, dmin)``."""
+    of each symmetric part, from one stacked ``eigvalsh``. The SPD
+    certificate is ``symmetric & _spd_ok(dmax, dmin)``."""
     defect, symmetric, ex, Fs = _sym_check(F)
-    d = np.linalg.eigvalsh((Fs + np.swapaxes(Fs, -1, -2)) / 2.0)
+    d = np.linalg.eigvalsh((Fs + Fs.swapaxes(-1, -2)) / 2.0)
     d = np.ldexp(d, ex[..., None])
     return defect, symmetric, d[..., -1], d[..., 0]
 
@@ -144,28 +147,14 @@ def _require_symmetric(S, name="matrix") -> np.ndarray:
 
 
 def sym_eig(S) -> EigenPair:
-    """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
+    """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``): Q
+    orthogonal with the eigenvectors as columns, and the eigenvalues d in
+    descending order. The largest-magnitude component of each column is made
+    positive (lowest index on ties), so reruns on one build are bit-identical.
 
-    Parameters
-    ----------
-    S : array_like
-        Symmetric matrix (Frobenius symmetry defect at most
-        ``1e-12 * (1 + ||S||_F)``).
-
-    Returns
-    -------
-    EigenPair
-        ``Q`` orthogonal with eigenvectors as columns, ``d`` eigenvalues in
-        descending order. The largest-magnitude component of each column is
-        made positive (lowest index on ties), so reruns on one build are
-        bit-identical.
-
-    Raises
-    ------
-    InvalidInput
-        If S is not square or not symmetric.
-    NumericalFailure
-        If ``eigh`` does not converge.
+    Raises InvalidInput unless S is square and symmetric (Frobenius symmetry
+    defect at most 1e-12 (1 + ||S||_F)), NumericalFailure if ``eigh`` does
+    not converge.
     """
     A = _require_symmetric(S, "sym_eig input")
     try:
@@ -294,13 +283,9 @@ def polar(Phi) -> tuple[np.ndarray, np.ndarray]:
     than as W Sigma W^T keeps the backward error ||V S - Phi|| at roundoff.
     det V carries the sign of det Phi.
 
-    Raises
-    ------
-    SingularInput
-        If Phi is singular to working precision: its 2-norm condition
-        number sigma_1 / sigma_n exceeds ``1 / (n eps)``.
-    NumericalFailure
-        If the SVD does not converge.
+    Raises SingularInput if Phi is singular to working precision (its 2-norm
+    condition number sigma_1 / sigma_n exceeds 1 / (n eps)), NumericalFailure
+    if the SVD does not converge.
     """
     return _polar(Phi)[:2]
 
@@ -311,7 +296,7 @@ def _polar(Phi) -> tuple[np.ndarray, np.ndarray, float]:
     n = Phi.shape[0]
     # Factor Phi times an exact power of two that brings its largest entry
     # near 1, so nothing below can overflow; V does not depend on the scale.
-    X = np.ldexp(Phi, -math.frexp(float(np.max(np.abs(Phi))))[1])
+    X = np.ldexp(Phi, -math.frexp(float(np.abs(Phi).max()))[1])
     try:
         U, sigma, Wt = np.linalg.svd(X)
     except np.linalg.LinAlgError as exc:

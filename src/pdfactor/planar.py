@@ -21,6 +21,7 @@ exponential realizes a single leg in time t_fn also lives here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -70,8 +71,10 @@ ROTATION_GATE = 1e-3
 # Every finite value 1.25^j of plan_scheme's lam grid (1.25^3181
 # overflows), as Python's float power gives it: plans land on exactly these.
 _LAM_GRID = np.array([1.25**j for j in range(3181)])
-# Entries (a, b, d) of a symmetric 2x2 [[a, b], [b, d]], as index arrays.
+# Entries (a, b, d) of a symmetric 2x2 [[a, b], [b, d]], as index arrays,
+# and those of the identity, shaped (3, 1, 1).
 _UPPER = ([0, 0, 1], [0, 1, 1])
+_IDENTITY = np.array([1.0, 0.0, 1.0])[:, None, None]
 
 
 def _check_scheme(k, lam, k_name="k", lam_name="lam") -> tuple:
@@ -193,14 +196,15 @@ def _waypoints(lam, theta, k: int) -> np.ndarray:
     c^2 + s^2 need not round to 1.
     """
     phi = np.arange(k - 1.0)[:, None] * theta
-    c, s = np.cos(phi), np.sin(phi)
+    cs = np.empty((2,) + phi.shape)
+    c, s = np.cos(phi, out=cs[0]), np.sin(phi, out=cs[1])
+    squares = cs * cs  # a pairs (c^2, s^2) with (lam, mu), d the other way round
     mu = 1.0 / lam
-    stretched = lam != 1.0
     W = np.empty((3, k + 1, lam.size))
-    W[:, 0] = W[:, k] = np.array([1.0, 0.0, 1.0])[:, None]
-    W[0, 1:k] = np.where(stretched, c * c * lam + s * s * mu, 1.0)
+    W[:, ::k] = _IDENTITY
+    W[::2, 1:k] = squares * lam + squares[::-1] * mu
     W[1, 1:k] = -c * s * (lam - mu)
-    W[2, 1:k] = np.where(stretched, s * s * lam + c * c * mu, 1.0)
+    np.copyto(W[::2, 1:k], 1.0, where=lam == 1.0)
     return W
 
 
@@ -222,12 +226,14 @@ def _monge2(A, B) -> np.ndarray:
     With A^{-1} = adj A, M = A^{-1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2}
     is (adj A + B) / sqrt(2 + tr(AB)): the square root of a unimodular SPD
     2x2 matrix X is (X + I) / sqrt(2 + tr X). tr(AB) >= 2, so the root
-    has no cancellation.
+    has no cancellation. adj A + B is B + A reversed, b1 - b0 in the middle.
     """
     a0, b0, d0 = A
     a1, b1, d1 = B
     root = np.sqrt(2.0 + a0 * a1 + 2.0 * b0 * b1 + d0 * d1)
-    return np.stack((d0 + a1, b1 - b0, a0 + d1)) / root
+    M = B + A[::-1]
+    M[1] = b1 - b0
+    return M / root
 
 
 def _eig2(E) -> tuple:
@@ -395,17 +401,25 @@ def solve_theta(lam, k, psi) -> float:
     return float(_tilt(lam, psi / (k - 2)))
 
 
-def _plan(psi, k: int, budget: float) -> tuple:
-    """plan_scheme for an array of angles psi in (0, pi], all with k
-    factors and one budget: arrays of lam and theta, or its error for the
-    largest angle out of reach."""
+@functools.lru_cache(maxsize=16)
+def _reach(k: int, budget: float) -> np.ndarray:
+    """_REACH3 within budget times k - 2, read-only: k factors' reach."""
     j_top = int(np.searchsorted(_LAM_GRID, budget, side="right")) - 1
     reach = (k - 2) * _REACH3[: j_top + 1]
+    reach.setflags(write=False)
+    return reach
+
+
+def _plan(psi, k: int, budget: float) -> tuple:
+    """plan_scheme for an array of angles psi in (0, pi], largest first,
+    all with k factors and one budget: arrays of lam and theta, or its
+    error for the largest angle out of reach."""
+    reach = _reach(k, budget)
     # The first grid value whose reach covers psi is the first whose _max_phi
     # does. The largest angle has the largest j: if it is in reach, all are.
     j = np.searchsorted(reach, psi)
-    top, max_phi = float(reach[min(int(j.max()), j_top)]), float(reach[-1])
-    _require_reach(float(psi.max()), k, top, max_phi, "every lam up to ", budget)
+    top, max_phi = float(reach[min(int(j[0]), reach.size - 1)]), float(reach[-1])
+    _require_reach(float(psi[0]), k, top, max_phi, "every lam up to ", budget)
     lam = _LAM_GRID[j]
     return lam, _tilt(lam, psi / (k - 2))
 

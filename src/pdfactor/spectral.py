@@ -105,7 +105,9 @@ class OrthogonalDecomposition:
 
 def _require_orthogonal(X, tol: float, what: str) -> None:
     """Raise NotOrthogonal unless ||X^T X - I||_F <= tol."""
-    defect = _frob(X.T @ X - np.eye(X.shape[0]))
+    G = X.T @ X
+    G.reshape(-1)[:: X.shape[0] + 1] -= 1.0
+    defect = _frob(G)
     if defect > tol:
         raise NotOrthogonal(f"{what} has orthogonality defect {defect:.3e}")
 
@@ -148,35 +150,47 @@ def block_diagonalize(V) -> OrthogonalDecomposition:
 def _split(V) -> tuple:
     """Basis U and descending angles theta of V in SO(n): plane i acts on
     columns 2i, 2i + 1 of U, the fixed axes follow. Raises NotOrthogonal or
-    NumericalFailure unless U is orthogonal and U D U^T reproduces V."""
+    NumericalFailure unless U is orthogonal and U D U^T reproduces V. U is
+    one gather of columns of Q, over which larger clusters write theirs."""
     n = V.shape[0]
     # Ascending cosines; the identity's eigenvectors come back exactly as I.
     cosines, Q = np.linalg.eigh((V + V.T) / 2.0)
     W = Q.T @ V @ Q
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(cosines) > CLUSTER_TOL) + 1))
-    sizes = np.diff(np.append(starts, n))
+    c = cosines.tolist()
+    bounds = [0, *(i for i in range(1, n) if c[i] - c[i - 1] > CLUSTER_TOL), n]
+    firsts = {}
+    for start, stop in zip(bounds, bounds[1:]):
+        firsts.setdefault(stop - start, []).append(start)
 
-    thetas, pairs, axes, axis_cos = [], [], [], []
-    for m in sorted(set(sizes.tolist())):
-        first = starts[sizes == m]
+    # Columns of X: the planes' in pairs, then the axes' with their cosines,
+    # gathered from the clusters of one size at a time, smallest first.
+    X, thetas, pairs, axes, axis_cos = Q, [], [], [], []
+    for m in sorted(firsts):
+        first = firsts[m]
         if m == 1:  # a lone direction is an axis
-            axes.append(Q[:, first])
-            axis_cos.append(cosines[first])
+            axes += first
+            axis_cos += [c[i] for i in first]
             continue
         if m == 2:
             # One plane or two axes, read off the restricted action R(+-t).
             # A negative sine swaps the plane's columns to the orientation
             # (Im z, Re z) below gives.
-            ij = first[:, None] + np.arange(2)
-            diag = W[ij, ij]
-            sin = W[first, first + 1] - W[first + 1, first]
-            plane = np.abs(sin) / 2.0 > PLANE_CUT
-            ij[plane & (sin < 0.0)] = ij[plane & (sin < 0.0), ::-1]
-            thetas.append(np.arctan2(np.abs(sin[plane]), diag[plane].sum(axis=1)))
-            pairs.append(Q[:, ij[plane].ravel()])
-            axes.append(Q[:, ij[~plane].ravel()])
-            axis_cos.append(diag[~plane].ravel())
+            diag = W.diagonal().tolist()
+            sin = (W.diagonal(1) - W.diagonal(-1)).tolist()
+            ys, xs = [], []
+            for i in first:
+                if abs(sin[i]) / 2.0 > PLANE_CUT:
+                    pairs += (i + 1, i) if sin[i] < 0.0 else (i, i + 1)
+                    ys.append(abs(sin[i]))
+                    xs.append(diag[i] + diag[i + 1])
+                else:
+                    axes += (i, i + 1)
+                    axis_cos += diag[i : i + 2]
+            thetas += np.arctan2(ys, xs).tolist()
             continue
+        if X is Q:
+            X = Q.copy()
+        first = np.array(first)
         idx = first[:, None] + np.arange(m)
         # Everything below runs in cluster coordinates: the restricted
         # action keeps other clusters' eigenvector noise out of the planes.
@@ -199,36 +213,34 @@ def _split(V) -> tuple:
                 C, R = np.linalg.qr(P, mode="complete")
                 C[:, :, : 2 * p] *= np.sign(np.diagonal(R, 0, 1, 2))[:, None]
             A = np.swapaxes(C, -1, -2) @ Wc[sel] @ C
-            cols = (Q[:, idx[sel]].transpose(1, 0, 2) @ C).transpose(1, 0, 2)
+            at = idx[sel]
+            X[:, at] = (Q[:, at].transpose(1, 0, 2) @ C).transpose(1, 0, 2)
             # Basis order (Im z, Re z) makes each plane's restricted action
             # [[cos, sin], [-sin, cos]] with positive theta; atan2 reads it
             # from twice the cosine and the sine.
             diag = np.diagonal(A, 0, 1, 2)
             sin = (np.diagonal(A, 1, 1, 2) - np.diagonal(A, -1, 1, 2))[:, 0 : 2 * p : 2]
             cos = diag[:, 0 : 2 * p : 2] + diag[:, 1 : 2 * p : 2]
-            thetas.append(np.arctan2(sin, cos).ravel())
-            pairs.append(cols[:, :, : 2 * p].reshape(n, -1))
-            axes.append(cols[:, :, 2 * p :].reshape(n, -1))
-            axis_cos.append(diag[:, 2 * p :].ravel())
+            thetas += np.arctan2(sin, cos).ravel().tolist()
+            pairs += at[:, : 2 * p].ravel().tolist()
+            axes += at[:, 2 * p :].ravel().tolist()
+            axis_cos += diag[:, 2 * p :].ravel().tolist()
 
-    axes = np.concatenate(axes, axis=1)
-    axis_cos = np.concatenate(axis_cos)
-    minus = axes[:, axis_cos <= 0.0]
-    if minus.shape[1] % 2:
+    minus = [a for a, x in zip(axes, axis_cos) if x <= 0.0]
+    if len(minus) % 2:
         raise NumericalFailure(
             "odd count of -1 eigenvalues in a det +1 matrix; "
             "input is too far from orthogonal to classify"
         )
-    thetas.append(np.full(minus.shape[1] // 2, math.pi))
-    pairs.append(minus)
-    theta = np.concatenate(thetas)
-    order = np.argsort(-theta, kind="stable")
-    rotations = np.concatenate(pairs, axis=1).reshape(n, -1, 2)[:, order]
-    units = axes[:, axis_cos > 0.0]
-    U = np.concatenate([rotations.reshape(n, -1), units], axis=1)
-    theta = theta[order]
+    thetas += [math.pi] * (len(minus) // 2)
+    pairs += minus
+    # Descending angles; equal ones keep their order (a stable sort).
+    order = sorted(range(len(thetas)), key=thetas.__getitem__, reverse=True)
+    units = [a for a, x in zip(axes, axis_cos) if x > 0.0]
+    U = X.take([j for i in order for j in pairs[2 * i : 2 * i + 2]] + units, axis=1)
+    theta = np.array([thetas[i] for i in order])
     _require_orthogonal(U, BASIS_TOL, "decomposition basis")
-    if _frob(_rebuild(U, theta, _pair_rows(theta.size)) - V) > REASSEMBLY_GATE:
+    if _frob(_rebuild(U, theta) - V) > REASSEMBLY_GATE:
         raise NumericalFailure(
             "reassembled decomposition does not reproduce the input; "
             "eigenvalue clusters are too entangled"
@@ -245,30 +257,24 @@ def _planes(d: OrthogonalDecomposition) -> tuple:
     )
 
 
-def _blocks_in_identity(n: int, rows, m00, m01, m10, m11) -> np.ndarray:
-    """Identity matrices of size n with a 2x2 block [[m00, m01], [m10, m11]]
-    on each row pair of ``rows`` (planes, 2). The entries have shape
-    (..., planes) and the result (..., n, n)."""
+def _blocks_in_identity(n: int, m00, m01, m10, m11) -> np.ndarray:
+    """Identity matrices of size n with the 2x2 block [[m00, m01], [m10,
+    m11]] of plane i on rows 2i, 2i + 1. The entries have shape
+    (..., planes) and the result (..., n, n); the diagonal and each block
+    entry are written by stride."""
     D = np.zeros(np.shape(m00)[:-1] + (n, n))
-    diag = np.arange(n)
-    D[..., diag, diag] = 1.0
-    i, j = rows.T
-    D[..., i, i] = m00
-    D[..., i, j] = m01
-    D[..., j, i] = m10
-    D[..., j, j] = m11
+    flat = D.reshape(D.shape[:-2] + (n * n,))
+    flat[..., :: n + 1] = 1.0
+    step = 2 * (n + 1)
+    for first, m in ((0, m00), (1, m01), (n, m10), (n + 1, m11)):
+        flat[..., first : np.shape(m)[-1] * step : step] = m
     return D
 
 
-def _pair_rows(planes: int) -> np.ndarray:
-    """Row pairs (planes, 2) of planes on consecutive rows from row 0."""
-    return np.arange(2 * planes).reshape(-1, 2)
-
-
-def _rebuild(U, theta, rows) -> np.ndarray:
-    """U D U^T, D the rotations by theta on the row pairs rows."""
+def _rebuild(U, theta, at=...) -> np.ndarray:
+    """U D[at] U^T, D the identity with the rotation by theta[i] on rows 2i, 2i + 1."""
     c, s = np.cos(theta), np.sin(theta)
-    return U @ _blocks_in_identity(U.shape[0], rows, c, s, -s, c) @ U.T
+    return U @ _blocks_in_identity(U.shape[0], c, s, -s, c)[at] @ U.T
 
 
 def assemble(d: OrthogonalDecomposition) -> np.ndarray:
@@ -276,4 +282,8 @@ def assemble(d: OrthogonalDecomposition) -> np.ndarray:
     block act as identity."""
     if not isinstance(d, OrthogonalDecomposition):
         raise InvalidInput("assemble expects an OrthogonalDecomposition")
-    return _rebuild(d.U, *_planes(d))
+    theta, rows = _planes(d)
+    # D holds the planes on rows 0, 1, 2, ... in block order, then the other
+    # rows; back moves each row and column to the row it names.
+    back = np.argsort(np.append(rows, np.setdiff1d(np.arange(d.n), rows)))
+    return _rebuild(d.U, theta, np.ix_(back, back))

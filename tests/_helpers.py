@@ -53,6 +53,29 @@ def random_spd(r, n, cond_max=100.0):
     return (S + S.T) / 2.0
 
 
+# Angle families whose rotation planes are delicate to split: rates
+# sin(theta) far below the rounding of their squares, half turns within
+# rounding of pi, cosine gaps just above the rounding of the symmetric part's
+# eigenvectors, and equal rates at distinct cosines.
+HARD_FAMILIES = ["tiny", "near_half_turn", "nearly_equal", "mixed", "quarter_turn_pairs"]
+
+
+def hard_family_angles(family, r, planes):
+    """planes rotation angles of one of HARD_FAMILIES, drawn from r."""
+    if family == "tiny":
+        return 10.0 ** r.uniform(-12.0, -4.0, planes)
+    if family == "near_half_turn":
+        return math.pi - 10.0 ** r.uniform(-12.0, -4.0, planes)
+    if family == "nearly_equal":
+        base = r.uniform(0.1, math.pi - 0.1)
+        return base + 10.0 ** r.uniform(-12.0, -6.0) * np.arange(planes)
+    if family == "quarter_turn_pairs":
+        # pi/2 -+ t have equal rates sin(theta) but cosines 2 sin(t) apart
+        t = 10.0 ** r.uniform(-12.0, -4.0)
+        return math.pi / 2.0 + t * np.resize([-1.0, 1.0], planes)
+    return r.choice([1e-10, 1e-6, 0.5, math.pi - 1e-9, math.pi, 2.0], planes)
+
+
 def taylor_expm(A, terms=200):
     """Matrix exponential by scaled Taylor series, squared back up."""
     A = np.asarray(A, dtype=float)

@@ -416,7 +416,8 @@ class TestFactorMatrix:
         # On a generic input the factor path takes one SVD (polar, whose
         # sigma_1 / sigma_n is also the stretch certificate), one det (the
         # sign and SO(n) gates) and one eigh (the rotation split), and no
-        # eigvalsh or norm; verify takes one stacked eigvalsh.
+        # eigvalsh or norm; verify takes one stacked eigvalsh and nothing
+        # else, its norms included.
         Phi = rng(70).standard_normal((6, 6))
         if np.linalg.det(Phi) < 0.0:
             Phi[0] = -Phi[0]
@@ -432,7 +433,7 @@ class TestFactorMatrix:
         assert calls == {"svd": 1, "eigh": 1, "det": 1}
         calls.clear()
         assert verify(chain, Phi, 1e-8).passed
-        assert calls["eigvalsh"] == 1
+        assert calls == {"eigvalsh": 1}
 
 
 class TestVerify:

@@ -848,6 +848,19 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "theta_deg,lambda,phi_deg"
 
+    def test_cli_module_is_no_launcher(self):
+        # python -m pdfactor.cli must not exit 0 without running anything:
+        # it fails, prints nothing, and names the launchers that work.
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdfactor.cli", "sweep", "--lambda", "2",
+             "--steps", "3"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "python -m pdfactor" in proc.stderr.splitlines()[-1]
+
     def test_reader_closing_pipe_early(self, tmp_path):
         # The reader closes the pipe before the command writes. With stdout
         # buffered, the interpreter's own flush at exit meets the broken
