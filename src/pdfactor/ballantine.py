@@ -4,7 +4,7 @@ The pipeline is the classical route: polar-split the input as Phi = V S,
 block-diagonalize the rotation V, realize every planar block as a chain of
 SPD factors, then conjugate the stage-aligned block-diagonal factors back
 into the original coordinates. Six factors suffice at the defaults: one
-polar stretch plus at most five per rotation stage.
+polar stretch plus five rotation stages.
 """
 
 from __future__ import annotations

@@ -74,10 +74,12 @@ def _read_json(path, key) -> tuple:
 
 
 def _shape_matrix(flat, n, what):
-    arr = _floats(flat, f"{what}: entries", copy=None)
-    if arr.ndim != 1 or arr.size != n * n:
-        raise InvalidInput(f"{what}: expected {n * n} entries, got {arr.size}")
-    return _as_square(arr.reshape(n, n), what)
+    # Only JSON numbers are entries: np.array would read "2" and true (a
+    # bool is an int) as numbers.
+    if (not isinstance(flat, list) or len(flat) != n * n
+            or not all(type(x) in (int, float) for x in flat)):
+        raise InvalidInput(f"{what}: expected a flat list of {n * n} numbers")
+    return _as_square(_floats(flat, f"{what}: entries", copy=None).reshape(n, n), what)
 
 
 def _write(path, text) -> None:

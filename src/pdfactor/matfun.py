@@ -58,7 +58,7 @@ def _floats(value, name, copy=True) -> np.ndarray:
     raises InvalidInput naming it if it is ragged or not numeric."""
     try:
         return np.array(value, dtype=float, order="C", copy=copy)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise InvalidInput(f"{name} must be an array of real numbers ({err})") from err
 
 

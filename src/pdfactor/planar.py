@@ -128,6 +128,8 @@ class FactorChain:
                 raise DimensionMismatch("chain factors differ in size")
         self.factors = mats
         self.n = n
+        if self.params is not None:
+            _coerce_params(self.params)
 
     @classmethod
     def _trusted(cls, factors, params=None) -> FactorChain:

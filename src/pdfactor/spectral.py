@@ -6,8 +6,8 @@ each cluster of them the skew part K commutes with the symmetric part, so
 the Hermitian matrix iK splits the cluster: every eigenvector z of a
 positive rate sin(theta) spans the plane (Im z, Re z), and the directions of
 rate zero are +1/-1 axes. A cluster of two cosines is one plane or two
-axes, read in closed form; larger clusters (repeated angles, or a plane
-near an axis) of one size go through one stacked complex ``eigh``.
+axes, read in closed form; each larger cluster (repeated angles, or a
+plane near an axis) takes one complex ``eigh`` and at most one QR.
 Minus-one axes always come in pairs (det V = +1) and are merged into
 half-turn blocks, so every emitted rotation angle lies in (0, pi].
 """
@@ -151,80 +151,69 @@ def _split(V) -> tuple:
     """Basis U and descending angles theta of V in SO(n): plane i acts on
     columns 2i, 2i + 1 of U, the fixed axes follow. Raises NotOrthogonal or
     NumericalFailure unless U is orthogonal and U D U^T reproduces V. U is
-    one gather of columns of Q, over which larger clusters write theirs."""
+    one gather of columns of Q, over which each larger cluster writes its
+    own after one complex eigh and at most one QR."""
     n = V.shape[0]
     # Ascending cosines; the identity's eigenvectors come back exactly as I.
     cosines, Q = np.linalg.eigh((V + V.T) / 2.0)
     W = Q.T @ V @ Q
     c = cosines.tolist()
     bounds = [0, *(i for i in range(1, n) if c[i] - c[i - 1] > CLUSTER_TOL), n]
-    firsts = {}
-    for start, stop in zip(bounds, bounds[1:]):
-        firsts.setdefault(stop - start, []).append(start)
+    # A cluster of two at i is one plane or two axes, read off the restricted
+    # action R(+-t) on rows i, i + 1.
+    diag = W.diagonal()
+    sin = W.diagonal(1) - W.diagonal(-1)
+    angle = np.arctan2(np.abs(sin), diag[:-1] + diag[1:]).tolist()
+    diag, sin = diag.tolist(), sin.tolist()
 
     # Columns of X: the planes' in pairs, then the axes' with their cosines,
-    # gathered from the clusters of one size at a time, smallest first.
+    # one cluster at a time in cosine order.
     X, thetas, pairs, axes, axis_cos = Q, [], [], [], []
-    for m in sorted(firsts):
-        first = firsts[m]
+    for i, stop in zip(bounds, bounds[1:]):
+        m = stop - i
         if m == 1:  # a lone direction is an axis
-            axes += first
-            axis_cos += [c[i] for i in first]
-            continue
-        if m == 2:
-            # One plane or two axes, read off the restricted action R(+-t).
+            axes.append(i)
+            axis_cos.append(c[i])
+        elif m == 2:
             # A negative sine swaps the plane's columns to the orientation
             # (Im z, Re z) below gives.
-            diag = W.diagonal().tolist()
-            sin = (W.diagonal(1) - W.diagonal(-1)).tolist()
-            ys, xs = [], []
-            for i in first:
-                if abs(sin[i]) / 2.0 > PLANE_CUT:
-                    pairs += (i + 1, i) if sin[i] < 0.0 else (i, i + 1)
-                    ys.append(abs(sin[i]))
-                    xs.append(diag[i] + diag[i + 1])
-                else:
-                    axes += (i, i + 1)
-                    axis_cos += diag[i : i + 2]
-            thetas += np.arctan2(ys, xs).tolist()
-            continue
-        if X is Q:
-            X = Q.copy()
-        first = np.array(first)
-        idx = first[:, None] + np.arange(m)
-        # Everything below runs in cluster coordinates: the restricted
-        # action keeps other clusters' eigenvector noise out of the planes.
-        Wc = W[idx[:, :, None], idx[:, None, :]]
-        WcT = Wc.transpose(0, 2, 1)
-        # Two planes at pi/2 -+ t share one rate. Where |cos| < 1/2 (no axes
-        # there) rate + cos keeps them apart, and keeps the rate's sign.
-        quarter = (np.abs(cosines[first]) < 0.5)[:, None, None]
-        rates, Z = np.linalg.eigh(0.5 * (quarter * (Wc + WcT) + 1j * (Wc - WcT)))
-        planes = np.minimum(np.count_nonzero(rates > PLANE_CUT, axis=1), m // 2)
-        for p in sorted(set(planes.tolist())):
-            sel = planes == p
+            if abs(sin[i]) / 2.0 > PLANE_CUT:
+                pairs += (i + 1, i) if sin[i] < 0.0 else (i, i + 1)
+                thetas.append(angle[i])
+            else:
+                axes += (i, i + 1)
+                axis_cos += diag[i:stop]
+        else:
+            if X is Q:
+                X = Q.copy()
+            # Everything below runs in cluster coordinates: the restricted
+            # action keeps other clusters' eigenvector noise out of the planes.
+            Wc = W[i:stop, i:stop]
+            # Two planes at pi/2 -+ t share one rate. Where |cos| < 1/2 (no
+            # axes there) rate + cos keeps them apart, and keeps the rate's
+            # sign.
+            quarter = abs(c[i]) < 0.5
+            rates, Z = np.linalg.eigh(0.5 * (quarter * (Wc + Wc.T) + 1j * (Wc - Wc.T)))
+            p = min(np.count_nonzero(rates > PLANE_CUT), m // 2)
             C = np.eye(m)
             if p:
-                Zp = Z[sel][:, :, m - p :]
-                P = np.empty(Zp.shape[:2] + (2 * p,))
-                P[:, :, 0::2] = Zp.imag
-                P[:, :, 1::2] = Zp.real
+                P = np.empty((m, 2 * p))
+                P[:, 0::2] = Z[:, m - p :].imag
+                P[:, 1::2] = Z[:, m - p :].real
                 # The complete factor spans the planes first, then the axes.
                 C, R = np.linalg.qr(P, mode="complete")
-                C[:, :, : 2 * p] *= np.sign(np.diagonal(R, 0, 1, 2))[:, None]
-            A = np.swapaxes(C, -1, -2) @ Wc[sel] @ C
-            at = idx[sel]
-            X[:, at] = (Q[:, at].transpose(1, 0, 2) @ C).transpose(1, 0, 2)
+                C[:, : 2 * p] *= np.sign(R.diagonal())
+            A = C.T @ Wc @ C
+            X[:, i:stop] = Q[:, i:stop] @ C
             # Basis order (Im z, Re z) makes each plane's restricted action
             # [[cos, sin], [-sin, cos]] with positive theta; atan2 reads it
             # from twice the cosine and the sine.
-            diag = np.diagonal(A, 0, 1, 2)
-            sin = (np.diagonal(A, 1, 1, 2) - np.diagonal(A, -1, 1, 2))[:, 0 : 2 * p : 2]
-            cos = diag[:, 0 : 2 * p : 2] + diag[:, 1 : 2 * p : 2]
-            thetas += np.arctan2(sin, cos).ravel().tolist()
-            pairs += at[:, : 2 * p].ravel().tolist()
-            axes += at[:, 2 * p :].ravel().tolist()
-            axis_cos += diag[:, 2 * p :].ravel().tolist()
+            d = A.diagonal()
+            s = (A.diagonal(1) - A.diagonal(-1))[: 2 * p : 2]
+            thetas += np.arctan2(s, d[: 2 * p : 2] + d[1 : 2 * p : 2]).tolist()
+            pairs += range(i, i + 2 * p)
+            axes += range(i + 2 * p, stop)
+            axis_cos += d[2 * p :].tolist()
 
     minus = [a for a, x in zip(axes, axis_cos) if x <= 0.0]
     if len(minus) % 2:

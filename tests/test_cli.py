@@ -118,7 +118,11 @@ class TestFactorCommand:
         {"n": 2, "data": ["a", 0.0, 0.0, 1.0]},
         {"n": 2, "data": [[1.0, 2.0], [3.0]]},
         {"n": math.inf, "data": [1.0]},
-    ], ids=["string_entry", "ragged_rows", "infinite_n"])
+        {"n": 2, "data": ["2", 0.0, 0.0, 1.0]},
+        {"n": 2, "data": [2.0, True, 0.0, 1.0]},
+        {"n": 2, "data": [[2.0, 0.0], [0.0, 1.0]]},
+    ], ids=["string_entry", "ragged_rows", "infinite_n", "string_number",
+            "boolean_entry", "nested_rows"])
     def test_malformed_data(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -237,6 +241,20 @@ class TestChainFileFormat:
         )
         with pytest.raises(error, match=f"factor 1 is {what}"):
             load_chain(path)
+
+    @pytest.mark.parametrize("factor, what", [
+        ([2, 0, 0, True], "expected a flat list of 4 numbers"),
+        ([[2, 0], [0, 1]], "expected a flat list of 4 numbers"),
+        ([10**400, 0, 0, 1], "must be an array of real numbers"),
+    ], ids=["boolean_entry", "nested_rows", "huge_integer"])
+    def test_factor_entries_are_json_numbers(self, tmp_path, factor, what):
+        # As for n, true is no number; rows are not nested; and an integer
+        # past the float range is refused, not raised as OverflowError.
+        path = tmp_path / "bad.json"
+        doc = {"n": 2, "factors": [[2.0, 0.0, 0.0, 0.5], factor]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(InvalidInput, match=f"factor 1: .*{what}"):
+            load_chain(str(path))
 
     def test_non_spd_factor_rejected_on_load(self, tmp_path, capsys):
         chain = write_chain(

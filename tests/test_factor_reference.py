@@ -3,7 +3,8 @@
 The trimmed code makes fewer numpy calls for the same work, so on every
 input it must give the same factor bytes, the same verify report and the
 same error type and message as the earlier one, and the rotation split the
-same basis and angles.
+same basis and angles, though it now takes its eigenvalue clusters one at a
+time in cosine order where the earlier one batched them by size.
 """
 
 import math
@@ -78,6 +79,40 @@ def test_hard_angle_families(family):
         V = family_rotation(family, r)
         assert_same_factorization(V)
         assert outcome(split_bytes, _split, V) == outcome(split_bytes, ref.split, V)
+
+
+def mixed_cluster_rotation(r):
+    """A rotation Q D Q^T whose D holds, in shuffled order, a plane repeated
+    twice and one three times, a few lone planes, a tiny plane among +1
+    axes and a plane near a half turn among -1 pairs. The clusters of the
+    +1 and -1 axes and of the twice repeated plane often share a size with
+    different plane counts."""
+    a, b = r.uniform(0.1, 3.0, 2)
+    tiny = 10.0 ** r.uniform(-13.0, -5.0, 2)
+    blocks = [a, a, b, b, b, *r.uniform(0.1, 3.0, int(r.integers(0, 4))),
+              tiny[0], *[1.0] * int(r.integers(0, 3)),
+              math.pi - tiny[1], *[-1.0] * (2 * int(r.integers(0, 2)))]
+    n = sum(1 if abs(t) == 1.0 else 2 for t in blocks)
+    D, i = np.eye(n), 0
+    for t in r.permutation(blocks):
+        if abs(t) == 1.0:
+            D[i, i] = t
+            i += 1
+        else:
+            D[i : i + 2, i : i + 2] = rotation2(t)
+            i += 2
+    Q = random_rotation(r, n)
+    return Q @ D @ Q.T
+
+
+def test_mixed_clusters():
+    # _split meets the clusters in cosine order, the earlier split by size
+    # and plane count; the stable sort by angle gives the same basis.
+    r = rng(126)
+    for _ in range(100):
+        V = mixed_cluster_rotation(r)
+        assert outcome(split_bytes, _split, V) == outcome(split_bytes, ref.split, V)
+        assert_same_factorization(V)
 
 
 @pytest.mark.parametrize("n", range(13, 25))

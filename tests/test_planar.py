@@ -676,6 +676,13 @@ class TestFactorChainType:
         with pytest.raises(InvalidInput):
             call()
 
+    def test_params_must_be_chain_params(self):
+        # A dict would pass here and break save_chain with AttributeError.
+        with pytest.raises(InvalidParams, match="expected ChainParams, got dict"):
+            FactorChain([np.eye(2)], params={"lam": 2})
+        params = ChainParams(30.0, 1.227, 5)
+        assert FactorChain([np.eye(2)], params=params).params is params
+
     def test_stack_is_a_chain_of_its_matrices(self):
         stack = np.stack([np.eye(2), np.diag([2.0, 0.5]), np.eye(2)])
         chain = FactorChain(factors=stack)
