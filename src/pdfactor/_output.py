@@ -32,48 +32,46 @@ def _create(path):
 # rounded half to even. A zero is written from D = 0 at E = 0. Other values
 # (|x| < 1e-4, |x| >= 1e17, inf, nan) are formatted by '%.17g' itself.
 #
-# Each field has a slot of 14 uint32 words (56 bytes), and a per-field mask
-# picks its bytes, in order, from
-#   bytes  2..7   "-0.000"         sign, "0." and the zeros that lead when E < 0
-#   bytes  8..27  "000d" / "00-d" and 16 digits: D, with the sign before it
-#   byte  31      "."
-#   bytes 32..51  the same 20 bytes, for the digits after the point
-#   byte  52      "," or "\n"
-# or a string from '%.17g' at bytes 8..31. The mask depends only on the
-# sign, E and nd, the digits left once trailing zeros are dropped, so it is
-# a row of a table, as are the slot's 4-digit words.
+# Each field has a slot of 32 bytes, 4 little-endian uint64 words on any
+# host, that holds its text and separator, "," or "\n", as one run of
+# nonzero bytes between zeros; the slots with their zero bytes dropped are
+# the lines. D's digits d0..d16 come in two copies, U with d_i at byte
+# 11 + i and S, U shifted down a byte. A table row keeps bytes of S and U
+# and fills in others:
+#   E >= 0   the sign at byte 9, d0..dE from S, the "." at 11 + E, then U
+#   E < 0    the sign, "0", the "." at 11 + E and zeros up to byte 10, then U
+# then the separator. The key is the sign, E and nd, the digits left once
+# trailing zeros are dropped, plus _KEYS for "\n" at the end of a line. A
+# string from '%.17g' and its separator fill the slot from byte 0.
 _FIXED = (1e-4, 1e17)
-_SLOT = 14
-_STRING_KEY = 2 * 21 * 17 - 1  # + the length of a string from '%.17g'
+_KEYS = 2 * 21 * 17  # in the table's first half
 
 
 @functools.cache
 def _encoder_tables() -> tuple:
-    """The 4-digit words, the digits kept of each group and the masks.
-    Built on first use, so that importing the package does not pay for
-    them."""
+    """The 4-digit words, with the digits kept of each group in the high
+    half, and the tables of S's masks, U's masks and bytes filled in,
+    (2 _KEYS, 4) words each. Built on first use, so that importing the
+    package does not pay for them."""
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     ascii4 = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1)
     ascii4 = ascii4.reshape(10000, 4)
-    signed = ascii4[:10].copy()
-    signed[:, 2] = ord("-")
-    words = np.concatenate([ascii4, signed]).view(np.uint32).ravel()
     # A group's digits through its last nonzero one; -64 for 0000.
-    kept = ((ascii4 != ord("0")) * np.arange(1, 5, dtype=np.uint8)).max(axis=1)
-    kept = kept.astype(np.intp)
+    kept = ((ascii4 != ord("0")) * np.arange(1, 5)).max(axis=1)
     kept[0] = -64
-    j = np.arange(4 * _SLOT)
-    neg, E, nd = np.indices((2, 21, 17)).reshape(3, -1, 1)
+    words = ascii4.view("<u4").ravel().astype(np.int64) | (kept << 32)
+    j = np.arange(32, dtype=np.int8)
+    last, neg, E, nd = np.indices((2, 2, 21, 17), np.int8).reshape(4, -1, 1)
     E, nd = E - 4, nd + 1
-    masks = (j == 52) | np.where(
-        E < 0,
-        ((j >= 3 - neg) & (j <= 3 - E)) | ((j >= 11) & (j < 11 + nd)),
-        ((j >= 11 - neg) & (j <= 11 + E))
-        | ((nd > E + 1) & ((j == 31) | ((j >= 36 + E) & (j < 35 + nd)))),
-    )
-    length = np.arange(1, 25)[:, np.newaxis]  # '%.17g' writes at most 24
-    strings = (j == 52) | ((j >= 8) & (j < 8 + length))
-    tables = words, kept, np.concatenate([masks, strings])
+    end = np.where(nd > E + 1, 11 + nd, 11 + E)
+    rows = np.zeros((3, 2 * _KEYS, 32), np.uint8)
+    rows[0][(j >= 10) & (j <= 10 + E)] = 255
+    rows[1][(j >= np.maximum(11, 12 + E)) & (j <= 10 + nd)] = 255
+    rows[2][(E < 0) & (j >= 10 + E) & (j <= 10)] = ord("0")
+    rows[2][(neg == 1) & (j == 9 + np.minimum(E, 0))] = ord("-")
+    rows[2][(j == 11 + E) & (j < end)] = ord(".")
+    np.put_along_axis(rows[2], end, np.where(last, ord("\n"), ord(",")), axis=1)
+    tables = words, *rows.view("<u8")
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -86,44 +84,38 @@ _POW10_HI -= _POW10_HI - _POW10
 _POW10_LO = _POW10 - _POW10_HI
 
 
-def _word(four) -> np.uint32:
-    return np.frombuffer(four, np.uint32)[0]
-
-
 class _CsvEncoder:
-    """Writes the rows of float arrays with cols columns as CSV lines,
-    byte for byte what '%.17g' formats, at most rows rows (and _BLOCK_ROWS)
-    at a time in work buffers allocated once: fresh ones per block fault
-    their pages in again (8,300 minor faults, not 5,200, and 128 ms, not
-    119, on a 2-core host for `pdfactor simulate`, n = 4, 16 particles)."""
+    """Encodes floats as CSV fields, byte for byte what '%.17g' formats,
+    at most cols * rows of them (rows at most _BLOCK_ROWS) per call, in
+    work buffers allocated once: fresh ones per block fault their pages in
+    again (8,300 minor faults, not 5,200, and 128 ms, not 119, on a 2-core
+    host for `pdfactor simulate`, n = 4, 16 particles)."""
 
     def __init__(self, cols, rows):
         self.rows = rows = min(rows, _BLOCK_ROWS)
         size = cols * rows
-        self.floats = np.empty((7, size))
-        self.ints = np.empty((4, size), np.intp)
-        self.bools = np.empty((3, size), bool)
-        self.groups = np.empty((5, size), np.intp)
-        self.words = np.empty((5, size), np.uint32)
-        self.kept = np.empty((4, size), np.intp)
-        self.mask = np.empty((size, 4 * _SLOT), bool)
-        self.slots = np.empty((size, _SLOT), np.uint32)
-        self.slots[:, 0] = _word(b"\0\0-0")
-        self.slots[:, 1] = _word(b".000")
-        ends = self.slots.reshape(rows, cols, _SLOT)[:, :, _SLOT - 1]
-        ends[...] = _word(b",\0\0\0")
-        ends[:, -1] = _word(b"\n\0\0\0")
+        # Flat, so that a call's rows of any size are one contiguous run.
+        self.floats = np.empty(8 * size)
+        self.ints = np.empty(14 * size, np.int64)
+        self.bools = np.empty(3 * size, bool)
+        self.slots = np.empty(20 * size, "<u8")  # U, S and table rows
 
     def write(self, fh, rows) -> None:
+        """Write the rows of a 2-D float array as CSV lines."""
         for lo in range(0, len(rows), self.rows):
-            fh.write(self._encode(rows[lo:lo + self.rows].ravel()))
+            fh.write(_join(self.encode(rows[lo:lo + self.rows])[0]))
 
-    def _encode(self, x) -> np.ndarray:
-        words, kept_digits, masks = _encoder_tables()
-        size = x.size
-        a, f, *work = self.floats[:, :size]
-        E, K, D, T = self.ints[:, :size]
-        neg, fixed, tmp = self.bools[:, :size]
+    def encode(self, *parts) -> list:
+        """The slots of the floats in parts, an array per part shaped as it
+        plus 4 words, alive until the next call. In a part of more than one
+        dimension, the last field along the last axis ends a line."""
+        words, *tables = _encoder_tables()
+        size = sum(part.size for part in parts)
+        x, a, f, *work = self.floats[:8 * size].reshape(8, size)
+        np.concatenate([part.ravel() for part in parts], out=x)
+        ints = self.ints[:14 * size].reshape(14, size)
+        E, K, D, T = ints[:4]
+        neg, fixed, tmp = self.bools[:3 * size].reshape(3, size)
         np.abs(x, out=a)
         np.signbit(x, out=neg)
         np.greater_equal(a, _FIXED[0], out=fixed)
@@ -147,7 +139,7 @@ class _CsvEncoder:
             E[far], D[far] = Ef, Df
         E[odd] = D[odd] = 0
         # D's first digit, then four groups of four; D is spent.
-        G = self.groups[:, :size]
+        G = ints[4:9]
         np.floor_divide(D, 10**8, out=K)
         np.multiply(K, 10**8, out=T)
         np.subtract(D, T, out=T)
@@ -158,46 +150,71 @@ class _CsvEncoder:
             np.floor_divide(rest, 10**4, out=G[high])
             np.multiply(G[high], 10**4, out=D)
             np.subtract(rest, D, out=G[high + 1])
-        # nd: the digits through D's last nonzero one, and at least E + 1.
-        kept = np.take(kept_digits, G[1:], out=self.kept[:, :size], mode="clip")
+        # The groups' words, and nd: the digits through D's last nonzero
+        # one, and at least E + 1.
+        W = words.take(G, out=ints[9:], mode="clip")
+        kept = np.right_shift(W[1:], 32, out=G[1:])
         nd = kept[0]
         nd += 1
         for row, offset in ((1, 5), (2, 9), (3, 13)):
             np.maximum(nd, np.add(kept[row], offset, out=kept[row]), out=nd)
         np.maximum(nd, np.add(E, 1, out=T), out=nd)
         np.maximum(nd, 1, out=nd)
-        # The mask row: (21 neg + E + 4) 17 + nd - 1.
+        # The key: (21 neg + E + 4) 17 + nd - 1.
         key = np.multiply(neg, 21 * 17, out=T)
         key += np.multiply(E, 17, out=K)
         key += nd
         key += 4 * 17 - 1
-        G[0] += np.multiply(neg, 10000, out=K)
-        W = np.take(words, G, out=self.words[:, :size], mode="clip")
-        slots = self.slots[:size]
-        slots[:, 2:7] = W.T
-        slots[:, 7] = _word(b"\0\0\0.")
-        slots[:, 8:13] = W.T
+        U, S, *rows = self.slots[:20 * size].reshape(5, size, 4)
+        slots, lo = [], 0
+        for part in parts:
+            hi = lo + part.size
+            if part.ndim > 1:
+                key[lo:hi].reshape(-1, part.shape[-1])[:, -1] += _KEYS
+            slots.append(U[lo:hi].reshape(*part.shape, 4))
+            lo = hi
+        # U's digit words, and S: each word of U shifted right a byte, with
+        # the low byte of the next word in its high byte.
+        U.view("<u4")[:, 2:7] = W.T  # the low halves
+        np.right_shift(U, 8, out=S)
+        S.reshape(-1)[:-1] |= np.left_shift(U.reshape(-1)[1:], 56, out=rows[0].reshape(-1)[:-1])
+        S_mask, U_mask, fill = [table.take(key, axis=0, out=out, mode="clip")
+                                for table, out in zip(tables, rows)]
+        S &= S_mask
+        U &= U_mask
+        U |= S
+        U |= fill
         odd = odd[x[odd] != 0]
-        text = ("%-24.17g" * odd.size % tuple(x[odd].tolist())).encode()
-        chars = np.frombuffer(text, np.uint8).reshape(odd.size, 24)
-        key[odd] = _STRING_KEY + np.count_nonzero(chars != ord(" "), axis=1)
-        slots.view(np.uint8)[odd, 8:32] = chars
-        mask = np.take(masks, key, axis=0, out=self.mask[:size], mode="clip")
-        return slots.view(np.uint8).ravel()[mask.ravel()]
+        if odd.size:  # the string from '%.17g', and the separator
+            text = "".join(("%.17g" % v + ",\n"[end]).ljust(32, "\0") for v, end in zip(
+                x[odd].tolist(), (key[odd] >= _KEYS).tolist()))
+            U[odd] = np.frombuffer(text.encode(), "<u8").reshape(-1, 4)
+        return slots
+
+
+def _slots(*shape) -> np.ndarray:
+    """Slots of the given shape, in which to put fields together into lines."""
+    return np.empty((*shape, 4), "<u8")
+
+
+def _join(slots) -> np.ndarray:
+    """The bytes of contiguous slots, zeros dropped: their fields in order."""
+    text = slots.view(np.uint8).reshape(-1)
+    return text[text != 0]
 
 
 def _digits(a, E, D, K, t, p, hi, lo, ah, al) -> None:
     """D = round(a 10^(16-E)), half to even, for 10^(16-E) exact: hi + lo
     is the exact product (Dekker), and K and t..al are work arrays."""
     np.subtract(16, E, out=K)
-    np.take(_POW10, K, out=p, mode="clip")
+    _POW10.take(K, out=p, mode="clip")
     np.multiply(a, p, out=hi)
     np.multiply(a, 134217729.0, out=ah)
     np.subtract(ah, a, out=al)
     ah -= al
     np.subtract(a, ah, out=al)
-    np.take(_POW10_HI, K, out=p, mode="clip")
-    np.take(_POW10_LO, K, out=t, mode="clip")
+    _POW10_HI.take(K, out=p, mode="clip")
+    _POW10_LO.take(K, out=t, mode="clip")
     np.multiply(ah, p, out=lo)
     lo -= hi
     lo += np.multiply(ah, t, out=ah)

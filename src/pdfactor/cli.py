@@ -124,6 +124,11 @@ def load_chain(path) -> FactorChain:
     params = None
     meta = doc.get("meta")
     if isinstance(meta, dict) and {"lambda", "theta_rad", "k"} <= set(meta):
+        # As for n and the entries, only JSON numbers: "30" and true are not.
+        for key in ("lambda", "theta_rad", "k"):
+            if type(meta[key]) not in ((int,) if key == "k" else (int, float)):
+                kind = "an integer" if key == "k" else "a number"
+                raise InvalidInput(f"{path}: meta '{key}' must be {kind}, got {meta[key]!r}")
         params = ChainParams(meta["lambda"], meta["theta_rad"], meta["k"])
     return FactorChain._trusted(factors, params)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._output import _BLOCK_ROWS, _create, _CsvEncoder
+from ._output import _BLOCK_ROWS, _create, _CsvEncoder, _join, _slots
 from .errors import DimensionMismatch, InvalidInput, InvalidStep
 from .matfun import _floats, _positive, _real, _require_symmetric, expm, spd_log, sym_eig
 from .planar import _as_chain
@@ -307,14 +307,20 @@ def _stream_csv(segments, cloud, dt, prefix) -> tuple:
 def _write_csv(prefix, shape, blocks) -> tuple:
     """Write blocks (t, P, C) of samples, shaped (b,), (b, N, n) and
     (b, n, n) for sample shape (T, N, n), as write_trajectory_csv
-    describes: each file opened by _create, its rows encoded by one
-    _CsvEncoder whose buffers fit a block. If a block or the second open
-    fails, the files opened are removed again."""
+    describes: each file opened by _create, a block's distinct values
+    encoded in one pass of one _CsvEncoder (per _BLOCK_ROWS particles of a
+    larger sample), its rows put together from their slots, one byte run a
+    field. If a block or the second open fails, the files opened are
+    removed again."""
     _, N, n = shape
     paths = (f"{prefix}_trajectory.csv", f"{prefix}_covariance.csv")
-    ids = np.arange(N)
-    step = max(1, _BLOCK_ROWS // N)
-    traj, cov = _CsvEncoder(2 + n, step * N), _CsvEncoder(1 + n * n, step)
+    width = min(N, _BLOCK_ROWS)  # particles per pass
+    step = _BLOCK_ROWS // width  # samples per block
+    encoder = _CsvEncoder(1 + width * (n + (N > width)) + n * n, step)
+    rows, cov = _slots(step, width, 2 + n), _slots(step, 1 + n * n)
+    ids = np.arange(N, dtype=float)
+    if N == width:  # the particle ids, once for the run
+        rows[:, :, 1] = encoder.encode(ids)[0]
     ft = fc = None
     try:
         with _create(paths[0]) as ft, _create(paths[1]) as fc:
@@ -325,10 +331,22 @@ def _write_csv(prefix, shape, blocks) -> tuple:
                 f"sigma_{i + 1}{j + 1}" for i in range(n) for j in range(n)
             ) + "\n").encode())
             for tb, Pb, Cb in blocks:
-                traj.write(ft, np.column_stack(
-                    (np.repeat(tb, N), np.tile(ids, tb.size), Pb.reshape(-1, n))
-                ))
-                cov.write(fc, np.column_stack((tb, Cb.reshape(tb.size, n * n))))
+                b = tb.size
+                for lo in range(0, N, width):
+                    parts = [tb, Pb[:, lo:lo + width]]
+                    parts += [Cb.reshape(b, n * n)] if lo == 0 else []
+                    parts += [ids[lo:lo + width]] if N > width else []
+                    t, P, *rest = encoder.encode(*parts)
+                    traj = rows[:b, :P.shape[1]]  # b is 1 or P has width
+                    traj[:, :, 0] = t[:, np.newaxis]
+                    traj[:, :, 2:] = P
+                    if N > width:
+                        traj[:, :, 1] = rest.pop()
+                    ft.write(_join(traj))
+                    if lo == 0:
+                        cov[:b, 0] = t
+                        cov[:b, 1:] = rest[0]
+                        fc.write(_join(cov[:b]))
     except BaseException:
         # Remove the files this call opened; by now they are closed.
         for path, f in zip(paths, (ft, fc)):

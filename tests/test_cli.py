@@ -256,6 +256,42 @@ class TestChainFileFormat:
         with pytest.raises(InvalidInput, match=f"factor 1: .*{what}"):
             load_chain(str(path))
 
+    @pytest.mark.parametrize("key, value, what", [
+        ("lambda", "30", "a number"),
+        ("lambda", True, "a number"),
+        ("theta_rad", True, "a number"),
+        ("theta_rad", "1.2", "a number"),
+        ("k", 5.0, "an integer"),
+        ("k", False, "an integer"),
+        ("k", "5", "an integer"),
+    ], ids=["lambda_string", "lambda_boolean", "theta_boolean", "theta_string",
+            "k_float", "k_boolean", "k_string"])
+    def test_meta_values_are_json_numbers(self, tmp_path, capsys, key, value, what):
+        # As for n and the factor entries: a string or a bool in meta is
+        # refused with exit 1, naming the key, not read as a number.
+        meta = {"lambda": 30.0, "theta_rad": 1.2270000000000001, "k": 5}
+        meta[key] = value
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps(
+            {"n": 2, "factors": [[1.0, 0.0, 0.0, 1.0]], "meta": meta}
+        ), encoding="utf-8")
+        with pytest.raises(InvalidInput, match=f"meta '{key}' must be {what}"):
+            load_chain(str(path))
+        target = write_matrix(tmp_path / "m.json", np.eye(2))
+        assert main(["verify", "--chain", str(path), "--target", target]) == 1
+        assert f"meta '{key}'" in capsys.readouterr().err
+
+    def test_meta_integers_are_numbers(self, tmp_path):
+        # A JSON integer is a number, so "lambda": 30 and "theta_rad": 0
+        # load, as the floats 30.0 and 0.0.
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps({
+            "n": 2, "factors": [[1.0, 0.0, 0.0, 1.0]],
+            "meta": {"lambda": 30, "theta_rad": 0, "k": 5},
+        }), encoding="utf-8")
+        params = load_chain(str(path)).params
+        assert (params.lam, params.theta, params.k) == (30.0, 0.0, 5)
+
     def test_non_spd_factor_rejected_on_load(self, tmp_path, capsys):
         chain = write_chain(
             tmp_path / "bad.json", [[1.0, 0.0, 0.0, -1.0]]

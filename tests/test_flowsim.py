@@ -532,13 +532,18 @@ class TestCsvExport:
             traj.covariances,
         )
 
-    @pytest.mark.parametrize("T, N, n", [(700, 7, 3), (3, 4100, 2)],
-                             ids=["blocks_of_steps", "particles_past_block"])
-    def test_bytes_match_per_row_reference(self, tmp_path, T, N, n):
-        # The writer encodes blocks of rows with numpy; this per-row
-        # writer is the reference, and the two files must have the same
-        # sha256. The shapes cross block boundaries, and one has more
-        # particles than a block has rows.
+    @pytest.mark.parametrize("T, N, n, span", [
+        (700, 7, 3, None), (3, 4100, 2, None), (5, 1, 1, None), (3, 1024, 2, None),
+        (4, 1025, 1, None), (40, 11, 6, (1e-5, 1e3)),
+    ], ids=["blocks_of_steps", "particles_past_block", "one_particle_one_coordinate",
+            "one_sample_per_block", "particles_one_past_block", "times_across_decades"])
+    def test_bytes_match_per_row_reference(self, tmp_path, T, N, n, span):
+        # The writer encodes blocks of distinct values with numpy and puts
+        # the rows together from them; this per-row writer is the
+        # reference, and the two files must have the same sha256. The
+        # shapes cross block boundaries, fill a block with one sample, and
+        # split samples of more particles than a block has rows, with ids
+        # of 1 to 4 digits. The last one's times run from 1e-5 to 1e3.
         def reference(traj, prefix):
             opts = {"encoding": "utf-8", "newline": "\n"}
             with open(f"{prefix}_trajectory.csv", "w", **opts) as fh:
@@ -563,12 +568,13 @@ class TestCsvExport:
         P = r.standard_normal((T, N, n)) * 10.0 ** r.integers(-30, 30, (T, N, n))
         P[0] = 0.0
         P[1] = np.round(P[1] * 1e-30)
-        hard = hard_floats(r)
+        hard = hard_floats(r)[:P[2:].size]
         P.ravel()[-hard.size:] = hard
         C = r.standard_normal((T, n, n))
         k = min(C.size, hard.size)
         C.ravel()[:k] = hard[:k]
-        traj = Trajectory(np.cumsum(r.uniform(1e-3, 1.0, T)), P, C)
+        t = np.cumsum(r.uniform(1e-3, 1.0, T)) if span is None else np.geomspace(*span, T)
+        traj = Trajectory(t, P, C)
         new = write_trajectory_csv(traj, str(tmp_path / "new"))
         reference(traj, str(tmp_path / "ref"))
         for path, kind in zip(new, ("trajectory", "covariance")):
