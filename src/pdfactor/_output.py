@@ -85,25 +85,18 @@ _POW10_LO = _POW10 - _POW10_HI
 
 
 class _CsvEncoder:
-    """Encodes floats as CSV fields, byte for byte what '%.17g' formats,
-    at most cols * rows of them (rows at most _BLOCK_ROWS) per call, in
-    work buffers allocated once: fresh ones per block fault their pages in
+    """Encodes floats as CSV fields, byte for byte what '%.17g' formats, in
+    work buffers kept from call to call and grown only for a call of more
+    fields than any before it: fresh ones per block fault their pages in
     again (8,300 minor faults, not 5,200, and 128 ms, not 119, on a 2-core
     host for `pdfactor simulate`, n = 4, 16 particles)."""
 
-    def __init__(self, cols, rows):
-        self.rows = rows = min(rows, _BLOCK_ROWS)
-        size = cols * rows
-        # Flat, so that a call's rows of any size are one contiguous run.
-        self.floats = np.empty(8 * size)
-        self.ints = np.empty(14 * size, np.int64)
-        self.bools = np.empty(3 * size, bool)
-        self.slots = np.empty(20 * size, "<u8")  # U, S and table rows
+    size = 0  # fields the work buffers hold, flat: a call's are one contiguous run
 
     def write(self, fh, rows) -> None:
         """Write the rows of a 2-D float array as CSV lines."""
-        for lo in range(0, len(rows), self.rows):
-            fh.write(_join(self.encode(rows[lo:lo + self.rows])[0]))
+        for lo in range(0, len(rows), _BLOCK_ROWS):
+            fh.write(_join(self.encode(rows[lo:lo + _BLOCK_ROWS])[0]))
 
     def encode(self, *parts) -> list:
         """The slots of the floats in parts, an array per part shaped as it
@@ -111,6 +104,12 @@ class _CsvEncoder:
         dimension, the last field along the last axis ends a line."""
         words, *tables = _encoder_tables()
         size = sum(part.size for part in parts)
+        if size > self.size:
+            self.size = size
+            self.floats = np.empty(8 * size)
+            self.ints = np.empty(14 * size, np.int64)
+            self.bools = np.empty(3 * size, bool)
+            self.slots = np.empty(20 * size, "<u8")  # U, S and table rows
         x, a, f, *work = self.floats[:8 * size].reshape(8, size)
         np.concatenate([part.ravel() for part in parts], out=x)
         ints = self.ints[:14 * size].reshape(14, size)

@@ -122,8 +122,11 @@ def load_chain(path) -> FactorChain:
             raise InvalidInput(f"{name} is not symmetric (defect {defect[i]:.3e})")
         _certify_spd((dmax[i], dmin[i]), name)
     params = None
-    meta = doc.get("meta")
-    if isinstance(meta, dict) and {"lambda", "theta_rad", "k"} <= set(meta):
+    if "meta" in doc:  # the whole block or none, so that a save gives the file back
+        meta = doc["meta"]
+        if not isinstance(meta, dict) or set(meta) != {"lambda", "theta_rad", "k"}:
+            raise InvalidInput(f"{path}: meta must be an object of exactly 'lambda', "
+                               f"'theta_rad' and 'k', got {meta!r}")
         # As for n and the entries, only JSON numbers: "30" and true are not.
         for key in ("lambda", "theta_rad", "k"):
             if type(meta[key]) not in ((int,) if key == "k" else (int, float)):
@@ -201,13 +204,11 @@ def cmd_sweep(args) -> int:
     lams = _parse_float_list(args.lam, "--lambda")
     theta_max = args.theta_max * DEG
     tables = [phi_sweep(lam, args.k, theta_max, args.steps) for lam in lams]
-    encoder = _CsvEncoder(3, args.steps)
     out = io.BytesIO()
     out.write(b"theta_deg,lambda,phi_deg\n")
-    for lam, table in zip(lams, tables):
-        encoder.write(out, np.column_stack(
-            (table.theta / DEG, np.full(table.theta.size, lam), table.phi / DEG)
-        ))
+    rows = [np.column_stack((table.theta / DEG, np.full(table.theta.size, lam), table.phi / DEG))
+            for lam, table in zip(lams, tables)]
+    _CsvEncoder().write(out, np.concatenate(rows))
     text = out.getvalue().decode()
     if args.output:
         _write(args.output, text)

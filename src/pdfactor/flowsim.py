@@ -255,8 +255,8 @@ def simulate(segments, cloud, dt=1e-3) -> Trajectory:
     Particle positions are exact exponentials on each generator's
     eigenbasis, so boundary positions match the factor products up to
     roundoff. The covariance is classical RK4 on the Lyapunov equation,
-    evaluated in closed form on the same eigenbasis; segment ends then
-    check RK4 against the exponential.
+    evaluated in closed form on the same eigenbasis. Each segment's last
+    sample is pinned to its end time, and the next segment starts from it.
     """
     (T, N, n), blocks = _flow(segments, cloud, dt)
     t, P, C = np.empty(T), np.empty((T, N, n)), np.empty((T, n, n))
@@ -307,20 +307,18 @@ def _stream_csv(segments, cloud, dt, prefix) -> tuple:
 def _write_csv(prefix, shape, blocks) -> tuple:
     """Write blocks (t, P, C) of samples, shaped (b,), (b, N, n) and
     (b, n, n) for sample shape (T, N, n), as write_trajectory_csv
-    describes: each file opened by _create, a block's distinct values
-    encoded in one pass of one _CsvEncoder (per _BLOCK_ROWS particles of a
-    larger sample), its rows put together from their slots, one byte run a
-    field. If a block or the second open fails, the files opened are
-    removed again."""
+    describes: each file opened by _create, a block's distinct values and
+    its particle ids encoded in one pass of one _CsvEncoder (per
+    _BLOCK_ROWS particles of a larger sample), its rows put together from
+    their slots, one byte run a field. If a block or the second open
+    fails, the files opened are removed again."""
     _, N, n = shape
     paths = (f"{prefix}_trajectory.csv", f"{prefix}_covariance.csv")
     width = min(N, _BLOCK_ROWS)  # particles per pass
     step = _BLOCK_ROWS // width  # samples per block
-    encoder = _CsvEncoder(1 + width * (n + (N > width)) + n * n, step)
+    encoder = _CsvEncoder()
     rows, cov = _slots(step, width, 2 + n), _slots(step, 1 + n * n)
     ids = np.arange(N, dtype=float)
-    if N == width:  # the particle ids, once for the run
-        rows[:, :, 1] = encoder.encode(ids)[0]
     ft = fc = None
     try:
         with _create(paths[0]) as ft, _create(paths[1]) as fc:
@@ -333,19 +331,17 @@ def _write_csv(prefix, shape, blocks) -> tuple:
             for tb, Pb, Cb in blocks:
                 b = tb.size
                 for lo in range(0, N, width):
-                    parts = [tb, Pb[:, lo:lo + width]]
+                    parts = [tb, Pb[:, lo:lo + width], ids[lo:lo + width]]
                     parts += [Cb.reshape(b, n * n)] if lo == 0 else []
-                    parts += [ids[lo:lo + width]] if N > width else []
-                    t, P, *rest = encoder.encode(*parts)
+                    t, P, i, *C = encoder.encode(*parts)
                     traj = rows[:b, :P.shape[1]]  # b is 1 or P has width
                     traj[:, :, 0] = t[:, np.newaxis]
+                    traj[:, :, 1] = i
                     traj[:, :, 2:] = P
-                    if N > width:
-                        traj[:, :, 1] = rest.pop()
                     ft.write(_join(traj))
-                    if lo == 0:
+                    if C:
                         cov[:b, 0] = t
-                        cov[:b, 1:] = rest[0]
+                        cov[:b, 1:] = C[0]
                         fc.write(_join(cov[:b]))
     except BaseException:
         # Remove the files this call opened; by now they are closed.

@@ -294,9 +294,11 @@ def _polar(Phi) -> tuple[np.ndarray, np.ndarray, float]:
     """polar's V and S, and kappa = sigma_1 / sigma_n from the same SVD."""
     Phi = _as_square(Phi, "polar input")
     n = Phi.shape[0]
-    # Factor Phi times an exact power of two that brings its largest entry
-    # near 1, so nothing below can overflow; V does not depend on the scale.
-    X = np.ldexp(Phi, -math.frexp(float(np.abs(Phi).max()))[1])
+    # Factor X, Phi times an exact power of two that brings its largest
+    # entry near 1, so nothing below can overflow; V does not depend on the
+    # scale, and S is formed from X and scaled back.
+    e = math.frexp(float(np.abs(Phi).max()))[1]
+    X = np.ldexp(Phi, -e)
     try:
         U, sigma, Wt = np.linalg.svd(X)
     except np.linalg.LinAlgError as exc:
@@ -308,5 +310,5 @@ def _polar(Phi) -> tuple[np.ndarray, np.ndarray, float]:
             f"(condition number {kappa:.3e})"
         )
     V = U @ Wt
-    VtP = V.T @ Phi
-    return V, (VtP + VtP.T) / 2.0, kappa
+    VtX = V.T @ X
+    return V, np.ldexp((VtX + VtX.T) / 2.0, e), kappa

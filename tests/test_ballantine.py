@@ -330,6 +330,19 @@ class TestFactorMatrix:
             ch = factor_matrix(Phi)
             assert verify(ch, Phi, 1e-8).passed
 
+    def test_stretch_at_every_binary_exponent_is_one_factor(self):
+        # c I and a positive diagonal whose largest entry has each binary
+        # exponent of the normal range but the lowest two: polar forms S in
+        # the units it scaled to, so even at 2^1023 nothing overflows.
+        r = rng(64)
+        for e in range(-1020, 1024):
+            c = r.uniform(1.0, 2.0)
+            diag = np.ldexp(r.uniform(1.0, 2.0, 3), [e, e - 1, e - 2])
+            for Phi in (np.ldexp(c, e) * np.eye(3), np.diag(diag)):
+                ch = factor_matrix(Phi)
+                rep = verify(ch, Phi, 1e-8)
+                assert len(ch.factors) == 1 and rep.passed, (e, rep.residual)
+
     def test_power_of_two_scale_is_exact(self):
         # polar factors Phi times a power of two, and nothing downstream
         # depends on the scale: Phi 2^e gives the stretch times 2^e and

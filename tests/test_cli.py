@@ -182,6 +182,19 @@ class TestFactorCommand:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["passed"] is True
 
+    def test_top_of_float_range_factors(self, tmp_path):
+        # 1e308 I: polar forms its stretch in the units it scaled to, so
+        # nothing overflows on the way to verify's eigenvalues.
+        path = write_matrix(tmp_path / "top.json", 1e308 * np.eye(3))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdfactor", "factor", path],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["passed"] is True
+
     def test_factor_then_verify_roundtrip(self, tmp_path, capsys):
         r = rng(70)
         Phi = r.standard_normal((3, 3))
@@ -291,6 +304,23 @@ class TestChainFileFormat:
         }), encoding="utf-8")
         params = load_chain(str(path)).params
         assert (params.lam, params.theta, params.k) == (30.0, 0.0, 5)
+
+    @pytest.mark.parametrize("meta", [
+        [], None, "abc", {"lambda": 30},
+        {"lambda": 30.0, "theta_rad": 1.2270000000000001, "k": 5, "note": 1},
+    ], ids=["list", "null", "string", "partial", "extra_key"])
+    def test_meta_is_whole_block_or_none(self, tmp_path, capsys, meta):
+        # Loaded and saved again, such a block would be dropped and the
+        # file not given back byte for byte: it is refused, exit 1.
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps(
+            {"n": 2, "factors": [[1.0, 0.0, 0.0, 1.0]], "meta": meta}
+        ), encoding="utf-8")
+        with pytest.raises(InvalidInput, match="meta must be an object of exactly"):
+            load_chain(str(path))
+        target = write_matrix(tmp_path / "m.json", np.eye(2))
+        assert main(["verify", "--chain", str(path), "--target", target]) == 1
+        assert "meta" in capsys.readouterr().err
 
     def test_non_spd_factor_rejected_on_load(self, tmp_path, capsys):
         chain = write_chain(

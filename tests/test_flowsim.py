@@ -18,7 +18,7 @@ from pdfactor.errors import (
     InvalidStep,
     NotPositiveDefinite,
 )
-from pdfactor._output import _CsvEncoder
+from pdfactor._output import _CsvEncoder, _join
 from pdfactor.flowsim import (
     _REMAINDER_TOL,
     FlowSegment,
@@ -598,8 +598,21 @@ class TestCsvExport:
         bits = (r.integers(0, 2, size) << 63) | (exponent << 52) | mantissa
         x = bits.astype(np.int64).view(np.float64)
         out = io.BytesIO()
-        _CsvEncoder(8, size // 8).write(out, x.reshape(-1, 8))
+        _CsvEncoder().write(out, x.reshape(-1, 8))
         got = out.getvalue().decode("ascii").split("\n")
         want = (("%.17g," * 7 + "%.17g\n") * (size // 8) % tuple(x.tolist())).split("\n")
         wrong = [(g, w) for g, w in zip(got, want) if g != w]
         assert len(got) == len(want) and not wrong, wrong[:3]
+
+    def test_encoder_sizes_itself_call_by_call(self):
+        # One encoder takes calls of 10, 5,000, 7 and 1,100 fields. Its work
+        # buffers grow for the second call and are reused after it, so a
+        # smaller call must carry nothing of a larger one's tail.
+        r = rng(75)
+        pool = hard_floats(r)
+        encoder = _CsvEncoder()
+        for size in (10, 5000, 7, 1100):
+            x = r.choice(pool, size)
+            got = _join(encoder.encode(x)[0]).tobytes().split(b",")
+            assert got.pop() == b""
+            assert got == [b"%.17g" % v for v in x.tolist()]
