@@ -26,6 +26,7 @@ from .matfun import (
 )
 from .planar import (
     FactorChain,
+    _K_MAX,
     _as_chain,
     _chain_factors,
     _check_scheme,
@@ -55,8 +56,9 @@ __all__ = [
 class FactorOptions:
     """Knobs for the factorization pipeline, checked when made, then frozen.
 
-    k_rotation is the factor count per rotation stage (5 covers every
-    angle including half turns; more factors allow smaller lam), lam_budget
+    k_rotation is the factor count per rotation stage, 3 to 257 (5 covers
+    every angle including half turns; more factors allow smaller lam, and
+    257 reach every angle at the grid's least lam, 1.25), lam_budget
     caps the scale lam of every planned scheme, tol_verify is the residual
     gate that ``pdfactor factor`` verifies its chain against, positive like
     verify's tol. lam is the condition number of a plane's first factor
@@ -70,7 +72,7 @@ class FactorOptions:
 
     def __post_init__(self):
         k, lam = _check_scheme(
-            self.k_rotation, self.lam_budget, "k_rotation", "lam_budget"
+            self.k_rotation, self.lam_budget, "k_rotation", "lam_budget", _K_MAX
         )
         object.__setattr__(self, "k_rotation", k)
         object.__setattr__(self, "lam_budget", lam)

@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input", help="matrix JSON file")
     p.add_argument("--factors", type=int, default=5, metavar="K",
-                   help="rotation stages per block (default 5)")
+                   help="rotation stages per block, 3 to 257 (default 5)")
     p.add_argument("--max-cond", type=float, default=1000.0, metavar="L",
                    help="largest scale lambda of each rotation plane's chain "
                    "(default 1000); factors can be worse conditioned")

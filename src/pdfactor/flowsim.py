@@ -50,13 +50,6 @@ class FlowSegment:
         self.A = _require_symmetric(self.A, "flow generator")
         self.duration = _positive(self.duration, "duration")
 
-    @classmethod
-    def _trusted(cls, A, duration) -> FlowSegment:
-        """A checked generator and duration, taken without copy or checks."""
-        seg = cls.__new__(cls)
-        seg.A, seg.duration = A, duration
-        return seg
-
     @property
     def n(self) -> int:
         return self.A.shape[0]
@@ -126,13 +119,6 @@ class Trajectory:
         self.positions = P
         self.covariances = C
 
-    @classmethod
-    def _trusted(cls, t, P, C) -> Trajectory:
-        """Checked samples of matching shapes, taken without copy or checks."""
-        traj = cls.__new__(cls)
-        traj.times, traj.positions, traj.covariances = t, P, C
-        return traj
-
     @property
     def sample_count(self) -> int:
         return self.times.size
@@ -156,11 +142,7 @@ def segments_from_chain(chain, durations=None) -> list:
     if len(durs) != k:
         raise DimensionMismatch(f"{len(durs)} durations for {k} factors")
     durs = [_positive(d, "duration") for d in durs]
-    # spd_log returns an exactly symmetric matrix, and so does its quotient.
-    return [
-        FlowSegment._trusted(spd_log(M) / d, d)
-        for M, d in zip(chain.factors, durs)
-    ]
+    return [FlowSegment(spd_log(M) / d, d) for M, d in zip(chain.factors, durs)]
 
 
 def _segments(segments) -> list:
@@ -265,7 +247,7 @@ def simulate(segments, cloud, dt=1e-3) -> Trajectory:
         j = i + tb.size
         t[i:j], P[i:j], C[i:j] = tb, Pb, Cb
         i = j
-    return Trajectory._trusted(t, P, C)
+    return Trajectory(t, P, C)
 
 
 def transition_matrix(segments) -> np.ndarray:

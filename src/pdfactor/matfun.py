@@ -44,6 +44,7 @@ SYM_RTOL = 1e-12
 SPD_RTOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
+_COUNT_MAX = int(np.iinfo(np.intp).max)  # the most elements an array axis holds
 
 
 class EigenPair(NamedTuple):
@@ -93,11 +94,13 @@ def _positive(value, name, exc=InvalidParams) -> float:
     return x
 
 
-def _integer(value, name, least) -> int:
-    """_real for a parameter that must be an integer >= least, as an int."""
+def _integer(value, name, least, most=_COUNT_MAX) -> int:
+    """_real for a parameter that must be an integer in [least, most], as an int."""
     x = _real(value, name)
     if not x.is_integer() or x < least:
         raise InvalidParams(f"{name} must be an integer >= {least}, got {value}")
+    if x > most:
+        raise InvalidParams(f"{name} must be at most {most}, got {value}")
     return int(x)
 
 

@@ -36,6 +36,7 @@ from .errors import (
     TargetUnreachable,
 )
 from .matfun import (
+    _COUNT_MAX,
     _as_square,
     _certify_spd,
     _frob,
@@ -77,12 +78,12 @@ _UPPER = ([0, 0, 1], [0, 1, 1])
 _IDENTITY = np.array([1.0, 0.0, 1.0])[:, None, None]
 
 
-def _check_scheme(k, lam, k_name="k", lam_name="lam") -> tuple:
-    """Validate a factor count and a scale: k an integer >= 3, lam >= 1.
+def _check_scheme(k, lam, k_name="k", lam_name="lam", k_max=_COUNT_MAX) -> tuple:
+    """Validate a factor count and a scale: k an integer in [3, k_max], lam >= 1.
 
     Returns them as (int, float); raises InvalidParams otherwise.
     """
-    kf = _integer(k, k_name, 3)
+    kf = _integer(k, k_name, 3, k_max)
     lamf = _real(lam, lam_name)
     if lamf < 1.0:
         raise InvalidParams(f"{lam_name} must be >= 1, got {lam}")
@@ -333,6 +334,9 @@ def _max_phi(lam, k: int):
 # k - 2 it is the k-factor reach bit for bit: rounding x (k - 2) is monotone.
 _REACH3 = np.maximum.accumulate(_max_phi(_LAM_GRID, 3))
 _REACH3.setflags(write=False)
+# From this many factors on, the grid's first value lam = 1.25 reaches every
+# angle up to a half turn, so more factors lower no plan's lam.
+_K_MAX = 2 + math.ceil(math.pi / _REACH3[1])
 
 
 def _require_reach(psi, k: int, top, max_phi, at: str, lam) -> None:
@@ -477,7 +481,6 @@ def gradient_generator(Sigma0, theta, t_fn) -> np.ndarray:
     S1 = U @ S0 @ U.T
     M = _matrices(_monge2(S0[_UPPER], ((S1 + S1.T) / 2.0)[_UPPER]))
     A = spd_log(M) / t_fn
-    A = (A + A.T) / 2.0
     # det M = 1, so trace(A) is roundoff; project it out so volume
     # preservation survives division by a tiny t_fn.
     A -= (np.trace(A) / 2.0) * np.eye(2)

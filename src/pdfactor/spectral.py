@@ -95,13 +95,6 @@ class OrthogonalDecomposition:
                     raise InvalidInput(f"block rows invalid or overlapping: {i}")
                 seen.add(i)
 
-    @classmethod
-    def _trusted(cls, U, blocks) -> OrthogonalDecomposition:
-        """_split's checked basis and its blocks, without copy or checks."""
-        d = cls.__new__(cls)
-        d.U, d.blocks, d.n = U, blocks, U.shape[0]
-        return d
-
 
 def _require_orthogonal(X, tol: float, what: str) -> None:
     """Raise NotOrthogonal unless ||X^T X - I||_F <= tol."""
@@ -144,7 +137,7 @@ def block_diagonalize(V) -> OrthogonalDecomposition:
         for i, t in enumerate(theta.tolist())
     ]
     blocks += [UnitBlock(row=j) for j in range(2 * theta.size, U.shape[0])]
-    return OrthogonalDecomposition._trusted(U, blocks)
+    return OrthogonalDecomposition(U, blocks)
 
 
 def _split(V) -> tuple:

@@ -554,6 +554,15 @@ class TestFactorOptions:
         with pytest.raises(InvalidParams):
             FactorOptions(tol_verify=0.0)
 
+    def test_factor_count_stops_where_lam_does(self):
+        # From 257 factors on, every angle up to a half turn is planned at
+        # the grid's least lam, 1.25, so more factors lower no lam.
+        assert plan_scheme(math.pi, 256, 1000.0).lam == 1.5625
+        assert plan_scheme(math.pi, 257, 1000.0).lam == 1.25
+        assert FactorOptions(k_rotation=257).k_rotation == 257
+        with pytest.raises(InvalidParams, match="k_rotation must be at most 257"):
+            FactorOptions(k_rotation=258)
+
     @pytest.mark.parametrize("entry, arg", [
         (factor_rotation2, 1.0),
         (factor_orthogonal, rotation2(1.0)),

@@ -94,6 +94,13 @@ class TestFactorCommand:
         capsys.readouterr()
         assert rc == 2
 
+    def test_factor_count_past_the_cap(self, tmp_path, capsys):
+        target = write_matrix(tmp_path / "m.json", -np.eye(2))
+        rc = main(["factor", target, "--factors", "258"])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == "error: k_rotation must be at most 257, got 258\n"
+
     def test_unparsable_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope", encoding="utf-8")
@@ -870,6 +877,29 @@ class TestErrorMapping:
         assert rc == 1
         assert err.startswith("error: cannot read") and "utf-8" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["factor", "sweep", "verify"])
+    def test_count_no_array_holds_is_one_error_line(self, tmp_path, capsys, command):
+        # 10**20 is an integer, but past any array's length: an input error,
+        # not a ValueError from numpy, and a chain file whose meta holds it
+        # does not load.
+        huge = str(10**20)
+        chain = tmp_path / "c.json"
+        chain.write_text(json.dumps({
+            "n": 2, "factors": [[1.0, 0.0, 0.0, 1.0]],
+            "meta": {"lambda": 30.0, "theta_rad": 0.5, "k": 10**20},
+        }), encoding="utf-8")
+        target = write_matrix(tmp_path / "t.json", -np.eye(2))
+        argv = {
+            "factor": ["factor", target, "--factors", huge],
+            "sweep": ["sweep", "--lambda", "2", "--steps", huge],
+            "verify": ["verify", "--chain", str(chain), "--target", target],
+        }[command]
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestEntryPoints:

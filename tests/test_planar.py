@@ -95,7 +95,7 @@ class TestChainParams:
 @pytest.mark.parametrize(
     "k, lam",
     [(2, 2.0), (3.5, 2.0), ("x", 2.0), (None, 2.0),
-     (3, 0.5), (3, math.nan), (3, math.inf), (3, "x")],
+     (3, 0.5), (3, math.nan), (3, math.inf), (3, "x"), (10**20, 2.0)],
 )
 def test_every_entry_point_validates_k_and_lam_alike(k, lam):
     calls = [
