@@ -43,7 +43,13 @@ def _create(path):
 # then the separator. The key is the sign, E and nd, the digits left once
 # trailing zeros are dropped, plus _KEYS for "\n" at the end of a line. A
 # string from '%.17g' and its separator fill the slot from byte 0.
-_FIXED = (1e-4, 1e17)
+#
+# E is _LOW at x's biased binary exponent b, the exponent of the largest of
+# _DECADES at or below 2^(b - 1023), or one more where |x| is at or above the
+# next of them: '%.17g' writes each of _DECADES at its own exponent and the
+# double below it at the one before.
+_DECADES = np.array([float(f"1e{E}") for E in range(-4, 18)])  # its ends bound E
+_LOW = np.searchsorted(_DECADES, np.ldexp(1.0, np.arange(-1023, 1025).clip(-14, 56)), "right") - 5
 _KEYS = 2 * 21 * 17  # in the table's first half
 
 
@@ -117,26 +123,16 @@ class _CsvEncoder:
         neg, fixed, tmp = self.bools[:3 * size].reshape(3, size)
         np.abs(x, out=a)
         np.signbit(x, out=neg)
-        np.greater_equal(a, _FIXED[0], out=fixed)
-        fixed &= np.less(a, _FIXED[1], out=tmp)
+        np.greater_equal(a, _DECADES[0], out=fixed)
+        fixed &= np.less(a, _DECADES[-1], out=tmp)
         odd = np.flatnonzero(~fixed)
-        a[odd] = 1.0
-        np.log10(a, out=f)
-        np.floor(f, out=f)
-        np.clip(f, -4, 16, out=f)
-        E[...] = f
+        a[odd] = 1.0  # E = 0
+        np.right_shift(a.view(np.int64), 52, out=K)
+        _LOW.take(K, out=E)
+        np.add(E, 5, out=K)
+        E += np.greater_equal(a, _DECADES.take(K, out=f), out=tmp)
         _digits(a, E, D, K, f, *work)
-        # Next to a power of ten, log10 can miss E by one. D is then out of
-        # range, and one step of E toward it is right: no double below
-        # 10^(E+1) is near enough to it for D to round up to 10^17.
-        np.subtract(D, 10**16, out=T)
-        far = np.flatnonzero(np.greater_equal(T.view(np.uint64), 9 * 10**16, out=tmp))
-        if far.size:
-            Ef = E[far] + np.where(D[far] < 10**16, -1, 1)
-            Df = np.empty_like(far)
-            _digits(a[far], Ef, Df, np.empty_like(far), *np.empty((6, far.size)))
-            E[far], D[far] = Ef, Df
-        E[odd] = D[odd] = 0
+        D[odd] = 0
         # D's first digit, then four groups of four; D is spent.
         G = ints[4:9]
         np.floor_divide(D, 10**8, out=K)

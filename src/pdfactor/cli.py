@@ -338,6 +338,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # writing an output file
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a count too large for this machine
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 1
 
 
 def _entry() -> int:

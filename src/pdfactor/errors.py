@@ -64,7 +64,8 @@ class NonPositiveDeterminant(InputError):
 
 
 class InvalidStep(InputError):
-    """Integration step size is not a positive finite number."""
+    """Integration step size is not a positive finite number, is longer than
+    the shortest segment, or gives more samples than an array holds."""
 
 
 class TargetUnreachable(NumericError):

@@ -21,7 +21,9 @@ import numpy as np
 
 from ._output import _BLOCK_ROWS, _create, _CsvEncoder, _join, _slots
 from .errors import DimensionMismatch, InvalidInput, InvalidStep
-from .matfun import _floats, _positive, _real, _require_symmetric, expm, spd_log, sym_eig
+from .matfun import (
+    _COUNT_MAX, _floats, _positive, _real, _require_symmetric, expm, spd_log, sym_eig,
+)
 from .planar import _as_chain
 
 __all__ = [
@@ -176,15 +178,19 @@ def _flow(segments, cloud, dt) -> tuple:
         raise InvalidStep(
             f"dt={dt} exceeds the shortest segment duration {shortest}"
         )
-    # Per segment: m steps of dt, then at most one of the remainder.
+    # Per segment: m steps of dt, then at most one of the remainder; an
+    # infinite or too long a run takes _COUNT_MAX steps, and is refused.
     plan = []
     for seg in segs:
         delta = seg.duration
-        m = int(math.floor(delta / dt + 1e-9))
+        m = math.floor(min(delta / dt + 1e-9, _COUNT_MAX))
         rem = delta - m * dt
         rem = rem if rem > _REMAINDER_TOL * max(1.0, delta) else 0.0
         plan.append((sym_eig(seg.A), delta, m, rem))
     T = 1 + sum(m + (rem > 0.0) for _, _, m, rem in plan)
+    if T >= _COUNT_MAX:
+        count = 1 + sum(seg.duration / dt for seg in segs)
+        raise InvalidStep(f"dt={dt} gives {count:.6g} samples, more than an array holds")
     return (T, cloud.count, n), _blocks(cloud, dt, plan)
 
 

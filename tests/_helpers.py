@@ -116,8 +116,9 @@ def hard_floats(r):
     """Floats at the edges of '%.17g', both signs, in random order: exact
     ties at the 17th digit (odd c 2^-j whose decimal expansion has 18
     digits) and other odd c 2^-j up to j = 80, the neighbours of 1e-5,
-    1e-4, 1, 1e16 and 1e17, decimals just below a decade, zeros,
-    subnormals, 2^53 +- 1, infinities and nan."""
+    1e-4, 1, 1e16 and 1e17, each power of ten 1e-4..1e17 and of two
+    2^-14..2^57 with two neighbours on either side, decimals just below a
+    decade, zeros, subnormals, 2^53 +- 1, infinities and nan."""
     vals = []
     for j in range(1, 81):
         # c 5^j has 18 digits, ending in 5, for c in [lo, hi).
@@ -130,6 +131,13 @@ def hard_floats(r):
         for _ in range(4):
             vals += [x, y]
             x, y = np.nextafter(x, 0.0), np.nextafter(y, np.inf)
+    # The decades and binary exponents at which the encoder's exponent steps.
+    for edge in [float(f"1e{E}") for E in range(-4, 18)] + [2.0**b for b in range(-14, 58)]:
+        below, above = [edge], [edge]
+        for _ in range(2):
+            below.append(math.nextafter(below[-1], 0.0))
+            above.append(math.nextafter(above[-1], math.inf))
+        vals += below + above[1:]
     vals += [9.99999999999999999e-5, 9.9999999999999999e-5, 0.99999999999999999,
              9999999999999999.9, 99999999999999999.0]
     vals += [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,

@@ -137,6 +137,16 @@ class TestFactorCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("doc", [[2.0, 0.0, 0.0, 1.0], {"data": [1.0]}, {"n": 1}],
+                             ids=["array", "no_n", "no_data"])
+    def test_document_needs_n_and_data(self, tmp_path, capsys, doc):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["factor", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: need a JSON object with integer 'n' and 'data'\n")
+
     @pytest.mark.parametrize("n", [2.7, "2", True],
                              ids=["fractional", "string", "boolean"])
     def test_dimension_must_be_json_integer(self, tmp_path, capsys, n):
@@ -328,6 +338,12 @@ class TestChainFileFormat:
         target = write_matrix(tmp_path / "m.json", np.eye(2))
         assert main(["verify", "--chain", str(path), "--target", target]) == 1
         assert "meta" in capsys.readouterr().err
+
+    def test_empty_factor_list(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n": 2, "factors": []}), encoding="utf-8")
+        with pytest.raises(InvalidInput, match="'factors' must be a nonempty list$"):
+            load_chain(str(path))
 
     def test_non_spd_factor_rejected_on_load(self, tmp_path, capsys):
         chain = write_chain(
@@ -526,6 +542,14 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_zero_target(self, tmp_path, capsys):
+        chain = write_chain(tmp_path / "c.json", [[1.0, 0.0, 0.0, 1.0]])
+        target = write_matrix(tmp_path / "t.json", np.zeros((2, 2)))
+        rc = main(["verify", "--chain", chain, "--target", target])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == "error: verify target is the zero matrix\n"
+
     def test_dimension_mismatch(self, tmp_path, capsys):
         chain = write_chain(tmp_path / "c.json", [[1.0, 0.0, 0.0, 1.0]])
         target = write_matrix(tmp_path / "t.json", np.eye(3))
@@ -623,6 +647,42 @@ class TestSimulateCommand:
         capsys.readouterr()
         assert rc == 1
 
+    @pytest.mark.parametrize("body, message", [
+        ("1,0,3\n", " line 2: expected 2 columns"),
+        ("1,0\n\n1,abc\n", " line 4: could not convert string to float: 'abc'"),
+        ("", ": no particles"),
+        ("\n  \n", ": no particles"),
+    ], ids=["columns", "non_numeric", "header_only", "blank_lines_only"])
+    def test_bad_particle_file(self, tmp_path, capsys, body, message):
+        chain = write_chain(tmp_path / "c.json", [[1.0, 0.0, 0.0, 1.0]])
+        parts = tmp_path / "p.csv"
+        parts.write_text("x1,x2\n" + body, encoding="utf-8")
+        rc = main(["simulate", "--chain", chain, "--particles", str(parts),
+                   "--out-prefix", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {parts}{message}\n"
+        assert not (tmp_path / "x_trajectory.csv").exists()
+
+    def test_blank_particle_lines_skipped(self, tmp_path, capsys):
+        chain = write_chain(tmp_path / "c.json", [[1.0, 0.0, 0.0, 1.0]])
+        parts = tmp_path / "p.csv"
+        parts.write_text("x1,x2\n\n1,0\n   \n0,1\n\n", encoding="utf-8")
+        rc = main(["simulate", "--chain", chain, "--particles", str(parts),
+                   "--dt", "0.5", "--out-prefix", str(tmp_path / "x")])
+        capsys.readouterr()
+        assert rc == 0
+        rows = (tmp_path / "x_trajectory.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1:] for row in rows[:2]] == [["0", "1", "0"], ["1", "0", "1"]]
+        assert len(rows) == 6
+
+    def test_comma_only_durations(self, tmp_path, capsys):
+        chain = write_chain(tmp_path / "c.json", [[1.0, 0.0, 0.0, 1.0]])
+        parts = self.write_particles(tmp_path / "p.csv", [[1.0, 0.0]])
+        rc = main(["simulate", "--chain", chain, "--particles", parts,
+                   "--durations", ",", "--out-prefix", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no --durations values given\n"
+
     def test_oversized_dt(self, tmp_path, capsys):
         chain = write_chain(tmp_path / "c.json", [[1.0, 0.0, 0.0, 1.0]])
         parts = self.write_particles(tmp_path / "p.csv", [[1.0, 0.0]])
@@ -642,6 +702,10 @@ class TestSimulateCommand:
                 "--out-prefix", str(tmp_path / "x")]
         if fault == "oversized_dt":
             argv += ["--dt", "2.0"]
+        elif fault == "dt_no_array_holds":
+            argv += ["--dt", "1e-300"]  # 2e300 samples
+        elif fault == "segment_no_array_holds":
+            argv += ["--durations", "1e300,1"]  # 1e303 samples at dt 1e-3
         elif fault == "last_propagator_fails":
             calls = []
 
@@ -668,6 +732,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("fault, code", [
         ("oversized_dt", 1),
+        ("dt_no_array_holds", 1),
+        ("segment_no_array_holds", 1),
         ("last_propagator_fails", 2),
         ("repeated_sample_time", 1),
     ])
@@ -684,6 +750,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("fault, kept", [
         ("oversized_dt", True),
+        ("dt_no_array_holds", True),
+        ("segment_no_array_holds", True),
         ("last_propagator_fails", True),
         ("repeated_sample_time", False),
     ])
@@ -854,6 +922,21 @@ class TestErrorMapping:
         assert rc == expected.exit_code == (2 if name in self.NUMERIC else 1)
         assert capsys.readouterr().err == "error: boom\n"
 
+
+    @pytest.mark.parametrize("message, line", [
+        ("", "error: out of memory\n"),
+        ("Unable to allocate 80.0 TiB", "error: out of memory: Unable to allocate 80.0 TiB\n"),
+    ], ids=["bare", "with_message"])
+    def test_memory_error_is_one_error_line(self, monkeypatch, capsys, message, line):
+        # A count that passes validation can still be more than memory
+        # holds; the allocation fails, and that is an input error.
+        def phi_sweep(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "phi_sweep", phi_sweep)
+        rc = main(["sweep", "--lambda", "2", "--steps", str(10**13)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == "" and err == line
 
     @pytest.mark.parametrize("command", ["factor", "verify", "simulate"])
     def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys, command):

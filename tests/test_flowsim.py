@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from pdfactor.errors import (
     InvalidStep,
     NotPositiveDefinite,
 )
-from pdfactor._output import _CsvEncoder, _join
+from pdfactor._output import _DECADES, _LOW, _CsvEncoder, _join
 from pdfactor.flowsim import (
     _REMAINDER_TOL,
     FlowSegment,
@@ -198,7 +199,7 @@ class TestSegmentsFromChain:
         with pytest.raises(NotPositiveDefinite):
             segments_from_chain(FactorChain([np.diag([1.0, -1.0])]))
 
-    def test_one_symmetry_check_per_factor(self):
+    def test_generators_are_public_constructor_bit_for_bit(self):
         # Each generator spd_log(M) / d is exactly symmetric, so the
         # FlowSegment check keeps it bit for bit.
         ch = minus_identity_chain()
@@ -415,6 +416,22 @@ class TestSimulate:
         with pytest.raises(InvalidInput):
             simulate([], ParticleCloud(np.eye(2)), dt=0.1)
 
+    @pytest.mark.parametrize("duration, count", [(1.0, r"1e\+300"), (1e300, "inf")],
+                             ids=["dt_1e-300", "segment_1e300"])
+    @pytest.mark.parametrize("run", ["simulate", "stream"])
+    def test_run_no_array_holds(self, tmp_path, run, duration, count):
+        # duration / dt samples, 1e300 or past the float range, are more
+        # than an array holds: refused before any array or file is made.
+        segs = [FlowSegment(np.eye(2) / duration, duration)]
+        cloud = ParticleCloud(np.eye(2))
+        message = f"^dt=1e-300 gives {count} samples, more than an array holds$"
+        with pytest.raises(InvalidStep, match=message):
+            if run == "simulate":
+                simulate(segs, cloud, dt=1e-300)
+            else:
+                _stream_csv(segs, cloud, 1e-300, tmp_path / "x")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTransitionMatrix:
     def test_zero_generator(self):
@@ -446,6 +463,25 @@ class TestTransitionMatrix:
             transition_matrix([])
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: transition_matrix([FlowSegment(np.eye(2)), np.eye(2)]),
+     InvalidInput, "segments must be FlowSegment instances"),
+    (lambda: transition_matrix([FlowSegment(np.eye(2)), FlowSegment(np.eye(3))]),
+     DimensionMismatch, "segment generators differ in size"),
+    (lambda: Trajectory(np.zeros((2, 1)), np.zeros((2, 1, 2)), np.zeros((2, 2, 2))),
+     InvalidInput, "times must be a nonempty 1-D array"),
+    (lambda: Trajectory([0.0, 1.0], np.zeros((3, 1, 2)), np.zeros((2, 2, 2))),
+     DimensionMismatch, r"positions must be \(T, N, n\) matching the sample count"),
+    (lambda: ParticleCloud(np.zeros((2, 2, 2))),
+     InvalidInput, r"positions must form an \(N, n\) array"),
+    (lambda: write_trajectory_csv(np.zeros(3), "x"), InvalidInput, "expected a Trajectory"),
+], ids=["segment_type", "segment_sizes", "times_2d", "sample_count", "cloud_3d",
+        "csv_of_array"])
+def test_shape_or_type_error_names_it(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 class TestTrajectoryType:
     def test_rejects_unsorted_times(self):
         with pytest.raises(InvalidInput):
@@ -463,7 +499,7 @@ class TestTrajectoryType:
                 np.zeros((2, 3, 3)),
             )
 
-    def test_simulate_checks_each_block_once(self, monkeypatch):
+    def test_simulate_trajectory_holds_its_own_arrays(self, monkeypatch):
         # A run of several blocks gives the trajectory the public
         # constructor gives, bit for bit, holding simulate's own arrays.
         blocks = []
@@ -585,6 +621,20 @@ class TestCsvExport:
         want = (("%.17g," * 7 + "%.17g\n") * (size // 8) % tuple(x.tolist())).split("\n")
         wrong = [(g, w) for g, w in zip(got, want) if g != w]
         assert len(got) == len(want) and not wrong, wrong[:3]
+
+    def test_each_decade_steps_the_exponent(self):
+        # The encoder's exponent is that of the largest power of ten at or
+        # below 2^e, for 2^e <= |x| < 2^(e+1), or one more where |x| reaches
+        # the next of its decades. That is exact if '%.17g' writes each
+        # decade at its own exponent and the double below it at the one
+        # before: no double below rounds up to it.
+        for e in range(-14, 57):
+            low = int(_LOW[1023 + e])
+            assert Fraction(10) ** low <= Fraction(2) ** e < Fraction(10) ** (low + 1)
+        for E, x in zip(range(-4, 18), _DECADES.tolist()):
+            assert x == float(f"1e{E}")
+            assert ("%.16e" % x).endswith("e%+03d" % E)
+            assert ("%.16e" % math.nextafter(x, 0.0)).endswith("e%+03d" % (E - 1))
 
     def test_encoder_sizes_itself_call_by_call(self):
         # One encoder takes calls of 10, 5,000, 7 and 1,100 fields. Its work

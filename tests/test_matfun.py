@@ -275,6 +275,10 @@ class TestExpm:
 
 
 class TestPolar:
+    def test_rejects_empty(self):
+        with pytest.raises(InvalidInput, match="^polar input is empty$"):
+            polar(np.zeros((0, 0)))
+
     def test_diagonal(self):
         V, S = polar(np.diag([2.0, 3.0]))
         assert_allclose(V, np.eye(2), atol=1e-14)

@@ -216,7 +216,7 @@ class TestBlockDiagonalize:
         assert d1.U.tobytes() == d2.U.tobytes()
         assert block_angles(d1) == block_angles(d2)
 
-    def test_checks_orthogonality_twice(self):
+    def test_basis_is_c_ordered_copy(self):
         # The decomposition is the public constructor's: its size read from
         # the basis, which is a C-ordered copy.
         d = block_diagonalize(random_rotation(rng(17), 6))
@@ -262,6 +262,10 @@ class TestHardAngleFamilies:
 
 
 class TestAssemble:
+    def test_rejects_non_decomposition(self):
+        with pytest.raises(InvalidInput, match="^assemble expects an OrthogonalDecomposition$"):
+            assemble(np.eye(2))
+
     def test_all_units_is_identity(self):
         d = OrthogonalDecomposition(
             U=np.eye(3), blocks=[UnitBlock(row=i) for i in range(3)]
