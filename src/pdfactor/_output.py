@@ -168,11 +168,10 @@ class _CsvEncoder:
                 key[lo:hi].reshape(-1, part.shape[-1])[:, -1] += _KEYS
             slots.append(U[lo:hi].reshape(*part.shape, 4))
             lo = hi
-        # U's digit words, and S: each word of U shifted right a byte, with
-        # the low byte of the next word in its high byte.
+        # U's digit words, and S: U's bytes one place on. S's last byte is
+        # left as it was; no S mask keeps a byte past 26.
         U.view("<u4")[:, 2:7] = W.T  # the low halves
-        np.right_shift(U, 8, out=S)
-        S.reshape(-1)[:-1] |= np.left_shift(U.reshape(-1)[1:], 56, out=rows[0].reshape(-1)[:-1])
+        S.view(np.uint8).reshape(-1)[:-1] = U.view(np.uint8).reshape(-1)[1:]
         S_mask, U_mask, fill = [table.take(key, axis=0, out=out, mode="clip")
                                 for table, out in zip(tables, rows)]
         S &= S_mask

@@ -36,7 +36,6 @@ from .planar import (
 )
 from .spectral import (
     _blocks_in_identity,
-    _require_det_one,
     _special_orthogonal,
     _split,
 )
@@ -172,16 +171,14 @@ def factor_matrix(Phi, opts: FactorOptions | None = None) -> FactorChain:
     """
     opts = _options(opts)
     # polar validates Phi and rejects a numerically singular input first;
-    # past that gate det V = +-1 carries the sign of det Phi reliably at
-    # every scale; V is orthogonal by construction, so det V = 1 puts it in SO(n).
-    V, S, kappa = _polar(Phi)
-    det = float(np.linalg.det(V))
-    if det < 0.0:
+    # past that gate det V = +-1 carries the sign of det Phi at every scale,
+    # and V = U W^T is orthogonal to roundoff, so det V > 0 puts it in SO(n).
+    V, S, e, kappa = _polar(Phi)
+    if np.linalg.det(V) < 0.0:
         raise NonPositiveDeterminant(
             "determinant not positive; a product of SPD factors "
             "always has positive determinant"
         )
-    _require_det_one(det)
     # The stretch is a factor, so it must pass verify's SPD certificate; its
     # eigenvalues are Phi's singular values, over sigma_n they span [1, kappa].
     if not _spd_ok(kappa, 1.0):
@@ -190,6 +187,12 @@ def factor_matrix(Phi, opts: FactorOptions | None = None) -> FactorChain:
             f"the SPD certificate's limit {1.0 / SPD_RTOL:.0e}"
         )
     stages = _stages(*_split(V), opts)
+    # S comes in units of 2^e, where its entries are below n; powers of two
+    # that could take one past the largest double go to the first stage.
+    k = max(0, e + V.shape[0].bit_length() - 1024) if stages else 0
+    S = np.ldexp(S, e - k)
+    if k:
+        stages[0] = np.ldexp(stages[0], k)
     D = S - np.eye(V.shape[0])
     # The norm is only taken once every entry is small, so its squares
     # cannot overflow for a huge stretch.
@@ -204,7 +207,8 @@ def verify(chain, target, tol) -> VerificationReport:
     PASS requires relative residual at most tol and every factor to clear
     the SPD certificate. Factors are inspected, not trusted: asymmetric or
     indefinite entries produce a failing report rather than an exception.
-    All factors are checked at once, by one stacked ``eigvalsh``.
+    All factors are checked at once, by one stacked ``eigvalsh``, and
+    multiplied in units of their own powers of two, across the double range.
     """
     chain = _as_chain(chain)
     target = _as_square(target, "verify target")
@@ -216,16 +220,30 @@ def verify(chain, target, tol) -> VerificationReport:
         )
     # Measure in units of an exact power of two near the largest target
     # entry, so the squares inside the norms cannot overflow.
-    e = math.frexp(float(np.abs(target).max()))[1]
-    tnorm = _frob(np.ldexp(target, -e))
+    et = math.frexp(float(np.abs(target).max()))[1]
+    T = np.ldexp(target, -et)
+    tnorm = _frob(T)
     if tnorm == 0.0:
         raise InvalidInput("verify target is the zero matrix")
-    residual = _frob(np.ldexp(chain.product() - target, -e)) / tnorm
-
-    defects, symmetric, dmax, dmin = _sym_spd(np.array(chain.factors))
+    F = np.array(chain.factors)
+    defects, symmetric, dmax, dmin, e = _sym_spd(F)
+    # Each factor in units of its own power of two, and the running product
+    # brought back near 1 every 8 factors: one that clears the SPD
+    # certificate keeps over 2^-41 / n of its largest entry, so no partial
+    # product overflows or sinks into subnormals, and in the normal
+    # range P 2^s = chain.product() bit for bit.
+    P, *rest = np.ldexp(F, -e[:, None, None])
+    s = sum(e.tolist()) - et
+    for i, M in enumerate(rest, 1):
+        if i % 8 == 0:
+            p = math.frexp(float(np.abs(P).max()))[1]
+            P, s = np.ldexp(P, -p), s + p
+        P = M @ P
+    residual = _frob(np.ldexp(P, s) - T) / tnorm
+    lows = np.ldexp(dmin, np.maximum(0, e)).tolist()
     stats = [
-        FactorStats(defect, lo, hi / lo if lo > 0.0 else math.inf)
-        for defect, hi, lo in zip(defects.tolist(), dmax.tolist(), dmin.tolist())
+        FactorStats(defect, low, hi / lo if lo > 0.0 else math.inf)
+        for defect, low, hi, lo in zip(defects.tolist(), lows, dmax.tolist(), dmin.tolist())
     ]
     spd = symmetric & _spd_ok(dmax, dmin)
     return VerificationReport(

@@ -113,14 +113,14 @@ def load_chain(path) -> FactorChain:
     factors = [
         _shape_matrix(flat, n, f"{path} factor {i}") for i, flat in enumerate(raw)
     ]
-    defect, symmetric, dmax, dmin = _sym_spd(np.stack(factors))
+    defect, symmetric, dmax, dmin, e = _sym_spd(np.stack(factors))
     bad = np.flatnonzero(~(symmetric & _spd_ok(dmax, dmin)))
     if bad.size:
         i = bad[0]
         name = f"{path} factor {i}"
         if not symmetric[i]:
             raise InvalidInput(f"{name} is not symmetric (defect {defect[i]:.3e})")
-        _certify_spd((dmax[i], dmin[i]), name)
+        _certify_spd(np.ldexp((dmax[i], dmin[i]), max(0, e[i])), name)
     params = None
     if "meta" in doc:  # the whole block or none, so that a save gives the file back
         meta = doc["meta"]

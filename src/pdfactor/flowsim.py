@@ -247,6 +247,8 @@ def simulate(segments, cloud, dt=1e-3) -> Trajectory:
     sample is pinned to its end time, and the next segment starts from it.
     """
     (T, N, n), blocks = _flow(segments, cloud, dt)
+    if T * n * max(N, n) * 8 > _COUNT_MAX:  # the bytes of P or of C
+        raise InvalidStep(f"dt={dt} gives {T} samples, more than an array holds")
     t, P, C = np.empty(T), np.empty((T, N, n)), np.empty((T, n, n))
     i = 0
     for tb, Pb, Cb in blocks:
@@ -278,11 +280,7 @@ def write_trajectory_csv(trajectory, prefix) -> tuple:
     if not isinstance(trajectory, Trajectory):
         raise InvalidInput("expected a Trajectory")
     t, P, C = trajectory.times, trajectory.positions, trajectory.covariances
-    step = max(1, _BLOCK_ROWS // P.shape[1])
-    return _write_csv(prefix, P.shape, (
-        (t[b:b + step], P[b:b + step], C[b:b + step])
-        for b in range(0, t.size, step)
-    ))
+    return _write_csv(prefix, P.shape, [(t, P, C)])
 
 
 def _stream_csv(segments, cloud, dt, prefix) -> tuple:
@@ -295,11 +293,11 @@ def _stream_csv(segments, cloud, dt, prefix) -> tuple:
 def _write_csv(prefix, shape, blocks) -> tuple:
     """Write blocks (t, P, C) of samples, shaped (b,), (b, N, n) and
     (b, n, n) for sample shape (T, N, n), as write_trajectory_csv
-    describes: each file opened by _create, a block's distinct values and
-    its particle ids encoded in one pass of one _CsvEncoder (per
-    _BLOCK_ROWS particles of a larger sample), its rows put together from
-    their slots, one byte run a field. If a block or the second open
-    fails, the files opened are removed again."""
+    describes: each file opened by _create, each block cut to what the
+    slots hold, its distinct values and particle ids encoded in one pass
+    of one _CsvEncoder (per _BLOCK_ROWS particles of a larger sample), its
+    rows put together from their slots, one byte run a field. If a block
+    or the second open fails, the files opened are removed again."""
     _, N, n = shape
     paths = (f"{prefix}_trajectory.csv", f"{prefix}_covariance.csv")
     width = min(N, _BLOCK_ROWS)  # particles per pass
@@ -307,6 +305,8 @@ def _write_csv(prefix, shape, blocks) -> tuple:
     encoder = _CsvEncoder()
     rows, cov = _slots(step, width, 2 + n), _slots(step, 1 + n * n)
     ids = np.arange(N, dtype=float)
+    blocks = ((tb[s:s + step], Pb[s:s + step], Cb[s:s + step])
+              for tb, Pb, Cb in blocks for s in range(0, tb.size, step))
     ft = fc = None
     try:
         with _create(paths[0]) as ft, _create(paths[1]) as fc:

@@ -118,26 +118,27 @@ def _frobs(F) -> np.ndarray:
 def _sym_check(F) -> tuple:
     """Symmetry check of a stack F (..., n, n), safe at every scale: each
     matrix's Frobenius symmetry defect, whether it is symmetric to roundoff
-    (defect <= SYM_RTOL (1 + ||F||_F)), and the exponents ex and the stack
-    Fs = F / 2^ex it is measured in: 2^ex is a power of two near the largest
-    entry when that is 1 or more, so the squares in the norms (_frobs)
-    cannot overflow; below 1 the "1 +" keeps its meaning."""
-    ex = np.maximum(0, np.frexp(np.abs(F).max(axis=(-2, -1)))[1])
+    (defect <= SYM_RTOL (1 + ||F||_F)), the exponents e of the largest
+    entries, in [2^(e-1), 2^e), and the stack Fs = F / 2^ex it is measured
+    in, ex = max(0, e): the squares in the norms (_frobs) cannot overflow,
+    and below 1 the "1 +" keeps its meaning."""
+    e = np.frexp(np.abs(F).max(axis=(-2, -1)))[1]
+    ex = np.maximum(0, e)
     Fs = np.ldexp(F, -ex[..., None, None])
     defect = _frobs(Fs - Fs.swapaxes(-1, -2))
     symmetric = defect <= SYM_RTOL * (np.ldexp(1.0, -ex) + _frobs(Fs))
-    return np.ldexp(defect, ex), symmetric, ex, Fs
+    return np.ldexp(defect, ex), symmetric, e, Fs
 
 
 def _sym_spd(F) -> tuple:
     """Symmetry and SPD checks of a stack F (..., n, n), safe at every scale:
-    _sym_check's defect and verdict, and the extreme eigenvalues dmax, dmin
-    of each symmetric part, from one stacked ``eigvalsh``. The SPD
-    certificate is ``symmetric & _spd_ok(dmax, dmin)``."""
-    defect, symmetric, ex, Fs = _sym_check(F)
+    _sym_check's defect, verdict and e, and the extreme eigenvalues dmax,
+    dmin of each symmetric part, from one stacked ``eigvalsh``, in Fs's
+    units 2^max(0, e), where no eigenvalue overflows. The SPD certificate
+    is ``symmetric & _spd_ok(dmax, dmin)``."""
+    defect, symmetric, e, Fs = _sym_check(F)
     d = np.linalg.eigvalsh((Fs + Fs.swapaxes(-1, -2)) / 2.0)
-    d = np.ldexp(d, ex[..., None])
-    return defect, symmetric, d[..., -1], d[..., 0]
+    return defect, symmetric, d[..., -1], d[..., 0], e
 
 
 def _require_symmetric(S, name="matrix") -> np.ndarray:
@@ -290,16 +291,18 @@ def polar(Phi) -> tuple[np.ndarray, np.ndarray]:
     condition number sigma_1 / sigma_n exceeds 1 / (n eps)), NumericalFailure
     if the SVD does not converge.
     """
-    return _polar(Phi)[:2]
+    V, S, e, _ = _polar(Phi)
+    return V, np.ldexp(S, e)
 
 
-def _polar(Phi) -> tuple[np.ndarray, np.ndarray, float]:
-    """polar's V and S, and kappa = sigma_1 / sigma_n from the same SVD."""
+def _polar(Phi) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """polar's V, its S in units of 2^e, where the entries are below n, e,
+    and kappa = sigma_1 / sigma_n from the same SVD."""
     Phi = _as_square(Phi, "polar input")
     n = Phi.shape[0]
     # Factor X, Phi times an exact power of two that brings its largest
     # entry near 1, so nothing below can overflow; V does not depend on the
-    # scale, and S is formed from X and scaled back.
+    # scale, and S is formed from X.
     e = math.frexp(float(np.abs(Phi).max()))[1]
     X = np.ldexp(Phi, -e)
     try:
@@ -314,4 +317,4 @@ def _polar(Phi) -> tuple[np.ndarray, np.ndarray, float]:
         )
     V = U @ Wt
     VtX = V.T @ X
-    return V, np.ldexp((VtX + VtX.T) / 2.0, e), kappa
+    return V, (VtX + VtX.T) / 2.0, e, kappa

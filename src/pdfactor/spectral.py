@@ -144,8 +144,8 @@ def _split(V) -> tuple:
     """Basis U and descending angles theta of V in SO(n): plane i acts on
     columns 2i, 2i + 1 of U, the fixed axes follow. Raises NotOrthogonal or
     NumericalFailure unless U is orthogonal and U D U^T reproduces V. U is
-    one gather of columns of Q, over which each larger cluster writes its
-    own after one complex eigh and at most one QR."""
+    one gather of columns of Q, each larger cluster's columns rewritten in
+    place after one complex eigh and at most one QR."""
     n = V.shape[0]
     # Ascending cosines; the identity's eigenvectors come back exactly as I.
     cosines, Q = np.linalg.eigh((V + V.T) / 2.0)
@@ -159,9 +159,9 @@ def _split(V) -> tuple:
     angle = np.arctan2(np.abs(sin), diag[:-1] + diag[1:]).tolist()
     diag, sin = diag.tolist(), sin.tolist()
 
-    # Columns of X: the planes' in pairs, then the axes' with their cosines,
+    # Columns of Q: the planes' in pairs, then the axes' with their cosines,
     # one cluster at a time in cosine order.
-    X, thetas, pairs, axes, axis_cos = Q, [], [], [], []
+    thetas, pairs, axes, axis_cos = [], [], [], []
     for i, stop in zip(bounds, bounds[1:]):
         m = stop - i
         if m == 1:  # a lone direction is an axis
@@ -177,8 +177,6 @@ def _split(V) -> tuple:
                 axes += (i, i + 1)
                 axis_cos += diag[i:stop]
         else:
-            if X is Q:
-                X = Q.copy()
             # Everything below runs in cluster coordinates: the restricted
             # action keeps other clusters' eigenvector noise out of the planes.
             Wc = W[i:stop, i:stop]
@@ -197,7 +195,7 @@ def _split(V) -> tuple:
                 C, R = np.linalg.qr(P, mode="complete")
                 C[:, : 2 * p] *= np.sign(R.diagonal())
             A = C.T @ Wc @ C
-            X[:, i:stop] = Q[:, i:stop] @ C
+            Q[:, i:stop] = Q[:, i:stop] @ C
             # Basis order (Im z, Re z) makes each plane's restricted action
             # [[cos, sin], [-sin, cos]] with positive theta; atan2 reads it
             # from twice the cosine and the sine.
@@ -219,7 +217,7 @@ def _split(V) -> tuple:
     # Descending angles; equal ones keep their order (a stable sort).
     order = sorted(range(len(thetas)), key=thetas.__getitem__, reverse=True)
     units = [a for a, x in zip(axes, axis_cos) if x > 0.0]
-    U = X.take([j for i in order for j in pairs[2 * i : 2 * i + 2]] + units, axis=1)
+    U = Q.take([j for i in order for j in pairs[2 * i : 2 * i + 2]] + units, axis=1)
     theta = np.array([thetas[i] for i in order])
     _require_orthogonal(U, BASIS_TOL, "decomposition basis")
     if _frob(_rebuild(U, theta) - V) > REASSEMBLY_GATE:

@@ -5,8 +5,10 @@ numpy calls for the same work: the polar split, the rotation split and its
 gates, the planar plans, waypoints and Monge maps, the stacked stages, and
 verify's symmetry and SPD checks. Helpers that did not change come from
 the package. The trimmed code must match these byte for byte: the same
-factors, the same reports, the same errors. One difference is kept on
-purpose, the memory order of the split's basis (see split).
+factors, the same reports, the same errors. Two differences are kept on
+purpose, the memory order of the split's basis (see split), and verify's
+product, taken in units of each factor's power of two so that it stays
+finite past the float range (there the earlier product gave nan).
 """
 
 import math
@@ -292,7 +294,14 @@ def verify(chain, target, tol):
     tnorm = _frob(np.ldexp(target, -e))
     if tnorm == 0.0:
         raise InvalidInput("verify target is the zero matrix")
-    residual = _frob(np.ldexp(chain.product() - target, -e)) / tnorm
+    # The product in units of each factor's own power of two, then in the
+    # target's: chain.product() in the normal range, finite past it.
+    P, total = None, 0
+    for M in chain.factors:
+        m = math.frexp(float(np.max(np.abs(M))))[1]
+        M = np.ldexp(M, -m)
+        P, total = (M if P is None else M @ P), total + m
+    residual = _frob(np.ldexp(P, total - e) - np.ldexp(target, -e)) / tnorm
 
     defects, symmetric, dmax, dmin = sym_spd(np.stack(chain.factors))
     stats = [

@@ -319,6 +319,16 @@ class TestFactorMatrix:
             quoted = re.search(r"condition number (\S+),", str(err.value)).group(1)
             assert float(quoted) == pytest.approx(np.linalg.cond(Phi), rel=1e-3)
 
+    def test_eigenvalue_past_the_largest_double(self):
+        # Entries of 1e308 and 0.9e308, eigenvalues 1.9e308 and 1e307: verify
+        # reads them in units of a power of two, so the factor is certified
+        # SPD with condition 19 rather than overflowing to inf.
+        M = np.array([[1.0, 0.9], [0.9, 1.0]]) * 1e308
+        rep = verify([M], M, 1e-8)
+        assert rep.passed and rep.residual == 0.0
+        assert rep.factors[0].condition == pytest.approx(19.0, rel=1e-14)
+        assert rep.factors[0].min_eigenvalue == pytest.approx(1e307, rel=1e-14)
+
     def test_huge_entries(self):
         # det(Phi) and ||Phi||_F^2 overflow at this scale; the rescaled
         # polar SVD, det V and verify's power-of-two units do not.
@@ -342,6 +352,48 @@ class TestFactorMatrix:
                 ch = factor_matrix(Phi)
                 rep = verify(ch, Phi, 1e-8)
                 assert len(ch.factors) == 1 and rep.passed, (e, rep.residual)
+
+    def test_every_binary_exponent_of_the_largest_entry_verifies(self):
+        # One of three inputs a binary exponent, from 2^-1040 (34 bits left
+        # to each entry) to 2^1023: a rotation by 2 rad about a fixed axis,
+        # diag(-1, -1, 1) and a fixed Gaussian. verify multiplies the
+        # factors in units of their own powers of two, so the product
+        # neither overflows at the top nor loses its digits in subnormals.
+        axis = np.array([1.0, 2.0, 2.0]) / 3.0
+        K = np.cross(np.eye(3), axis)  # K x = axis x x
+        rotation = np.eye(3) + math.sin(2.0) * K + (1.0 - math.cos(2.0)) * K @ K
+        gauss = rng(66).standard_normal((3, 3))
+        if np.linalg.det(gauss) < 0:
+            gauss[:, 0] = -gauss[:, 0]
+        classes = [rotation, np.diag([-1.0, -1.0, 1.0]), gauss]
+        # Each with its largest entry in [1, 2).
+        classes = [np.ldexp(A, 1 - math.frexp(np.abs(A).max())[1]) for A in classes]
+        r = rng(67)
+        for e, c in zip(range(-1040, 1024), r.integers(0, 3, 2064)):
+            Phi = np.ldexp(classes[c], e)
+            assert math.frexp(np.abs(Phi).max())[1] - 1 == e
+            rep = verify(factor_matrix(Phi), Phi, 1e-8)
+            assert rep.passed, (e, c, rep.residual)
+
+    def test_stretch_past_the_largest_double_sheds_to_a_stage(self):
+        # R(pi/4) diag(2.5, 1) 2^1023 has entries of 1.77 2^1023, but its
+        # stretch diag(2.5, 1) 2^1023 cannot be stored: with entries below
+        # 2^1025 it is written as diag(2.5, 1) 2^1021, and the first stage
+        # takes the 4. The same for seeded inputs n 2..8 whose largest entry
+        # lies in [2^1023, 2^1024).
+        Phi = np.ldexp(rotation2(-math.pi / 4.0) @ np.diag([2.5, 1.0]), 1023)
+        ch = factor_matrix(Phi)
+        assert len(ch.factors) == 6 and verify(ch, Phi, 1e-8).passed
+        assert_allclose(np.ldexp(ch.factors[0], -1021), np.diag([2.5, 1.0]), atol=1e-15)
+        r = rng(68)
+        for _ in range(30):
+            n = int(r.integers(2, 9))
+            A = r.standard_normal((n, n))
+            if np.linalg.det(A) < 0:
+                A[:, 0] = -A[:, 0]
+            Phi = np.ldexp(A, 1024 - math.frexp(np.abs(A).max())[1])
+            rep = verify(factor_matrix(Phi), Phi, 1e-8)
+            assert rep.passed, (n, rep.residual)
 
     def test_power_of_two_scale_is_exact(self):
         # polar factors Phi times a power of two, and nothing downstream
@@ -513,6 +565,15 @@ class TestVerify:
                     d = np.linalg.eigvalsh(M)
                     assert abs(st.min_eigenvalue - d[0]) <= 1e-13 * d[-1]
                     assert_allclose(st.condition, d[-1] / d[0], rtol=1e-9)
+
+    def test_long_chain_whose_stretches_cancel(self):
+        # diag(1e5, 1e-5) and diag(1e-5, 1e5), 40 times each in turn,
+        # multiply out to I exactly. In units of each factor's power of two
+        # the product falls by about 1e-10 a pair, past the subnormals within
+        # 31 pairs, unless it is brought back near 1 as it goes.
+        A, B = np.diag([1e5, 1e-5]), np.diag([1e-5, 1e5])
+        rep = verify(FactorChain([A, B] * 40), np.eye(2), 1e-12)
+        assert rep.passed and rep.residual == 0.0
 
     def test_report_serializes(self):
         rep = verify(FactorChain([np.eye(2)]), np.eye(2), 1e-10)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from pdfactor.flowsim import (
     simulate,
     write_trajectory_csv,
 )
-from pdfactor.planar import SweepTable
+from pdfactor.planar import SweepTable, rotation2
 
 from _helpers import hard_floats, hilbert, rng
 
@@ -211,6 +212,26 @@ class TestFactorCommand:
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["passed"] is True
+
+    @pytest.mark.parametrize("Phi", [
+        1e308 * rotation2(2.0),
+        1e308 * np.block([[rotation2(2.0), np.zeros((2, 1))], [np.zeros((1, 2)), 1.0]]),
+        -1.7e308 * np.eye(2),
+        1e-315 * rotation2(math.pi / 2.0),
+        np.ldexp(rotation2(-math.pi / 4.0) @ np.diag([2.5, 1.0]), 1023),
+    ], ids=["top_rotation_n2", "top_rotation_n3", "top_minus_identity",
+            "subnormal_quarter_turn", "top_stretch_past_range"])
+    def test_edges_of_float_range_factor(self, tmp_path, capsys, Phi):
+        # verify multiplies the factors in units of their own powers of two:
+        # nothing overflows at the top, and no digits are lost in
+        # subnormals. Any warning would be an error, and so a nonzero exit.
+        path = write_matrix(tmp_path / "edge.json", Phi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["factor", path]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["passed"] is True
 
     def test_factor_then_verify_roundtrip(self, tmp_path, capsys):
         r = rng(70)

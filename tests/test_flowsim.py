@@ -19,7 +19,7 @@ from pdfactor.errors import (
     InvalidStep,
     NotPositiveDefinite,
 )
-from pdfactor._output import _DECADES, _LOW, _CsvEncoder, _join
+from pdfactor._output import _DECADES, _LOW, _CsvEncoder, _encoder_tables, _join
 from pdfactor.flowsim import (
     _REMAINDER_TOL,
     FlowSegment,
@@ -432,6 +432,15 @@ class TestSimulate:
                 _stream_csv(segs, cloud, 1e-300, tmp_path / "x")
         assert list(tmp_path.iterdir()) == []
 
+    def test_positions_no_address_holds(self):
+        # 2^62 + 1 samples is a count an array axis holds, but the (T, N, n)
+        # positions are 2^67 bytes: refused before np.empty, which would
+        # raise numpy's bare "array is too big". Nothing is allocated.
+        segs = [FlowSegment(np.eye(2))]
+        message = rf"^dt={2.0**-62} gives {2**62 + 1} samples, more than an array holds$"
+        with pytest.raises(InvalidStep, match=message):
+            simulate(segs, ParticleCloud(np.eye(2)), dt=2.0**-62)
+
 
 class TestTransitionMatrix:
     def test_zero_generator(self):
@@ -621,6 +630,14 @@ class TestCsvExport:
         want = (("%.17g," * 7 + "%.17g\n") * (size // 8) % tuple(x.tolist())).split("\n")
         wrong = [(g, w) for g, w in zip(got, want) if g != w]
         assert len(got) == len(want) and not wrong, wrong[:3]
+
+    def test_no_s_mask_keeps_a_byte_past_26(self):
+        # S is U one byte on, copied whole but for its last byte, which
+        # keeps what the buffer held: no S mask may select it. The digits
+        # d0..d16 sit at bytes 10..26 of S.
+        S_masks = _encoder_tables()[1].view(np.uint8)
+        assert S_masks.shape == (2 * 2 * 21 * 17, 32)  # (last, sign, E, nd) keys
+        assert not S_masks[:, 27:].any() and not S_masks[:, :10].any()
 
     def test_each_decade_steps_the_exponent(self):
         # The encoder's exponent is that of the largest power of ten at or

@@ -279,6 +279,26 @@ class TestPolar:
         with pytest.raises(InvalidInput, match="^polar input is empty$"):
             polar(np.zeros((0, 0)))
 
+    def test_v_determinant_is_one_to_roundoff(self):
+        # V = U W^T from one SVD is orthogonal to roundoff, so |det V| is 1
+        # to about n eps: factor_matrix reads det V for its sign only.
+        # U diag W^T, n 2..64, condition numbers up to polar's gate, scales
+        # 1e-300..1e300.
+        r = rng(38)
+        worst = 0.0
+        for _ in range(150):
+            n = int(r.integers(2, 65))
+            gate = math.log10(1.0 / (n * EPS))
+            sigma = np.logspace(0.0, -r.uniform(0.0, gate), n)
+            Phi = (random_orthogonal(r, n) * sigma) @ random_orthogonal(r, n).T
+            Phi *= 10.0 ** r.uniform(-300.0, 300.0)
+            try:
+                V, _ = polar(Phi)
+            except SingularInput:
+                continue
+            worst = max(worst, abs(abs(np.linalg.det(V)) - 1.0))
+        assert worst <= 1e-12, worst
+
     def test_diagonal(self):
         V, S = polar(np.diag([2.0, 3.0]))
         assert_allclose(V, np.eye(2), atol=1e-14)
