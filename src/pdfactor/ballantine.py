@@ -31,6 +31,7 @@ from .planar import (
     _chain_factors,
     _check_scheme,
     _plan,
+    _product,
     build_chain,
     plan_scheme,
 )
@@ -208,7 +209,7 @@ def verify(chain, target, tol) -> VerificationReport:
     the SPD certificate. Factors are inspected, not trusted: asymmetric or
     indefinite entries produce a failing report rather than an exception.
     All factors are checked at once, by one stacked ``eigvalsh``, and
-    multiplied in units of their own powers of two, across the double range.
+    multiplied in powers of two per factor and per column, across the double range.
     """
     chain = _as_chain(chain)
     target = _as_square(target, "verify target")
@@ -227,19 +228,9 @@ def verify(chain, target, tol) -> VerificationReport:
         raise InvalidInput("verify target is the zero matrix")
     F = np.array(chain.factors)
     defects, symmetric, dmax, dmin, e = _sym_spd(F)
-    # Each factor in units of its own power of two, and the running product
-    # brought back near 1 every 8 factors: one that clears the SPD
-    # certificate keeps over 2^-41 / n of its largest entry, so no partial
-    # product overflows or sinks into subnormals, and in the normal
-    # range P 2^s = chain.product() bit for bit.
-    P, *rest = np.ldexp(F, -e[:, None, None])
-    s = sum(e.tolist()) - et
-    for i, M in enumerate(rest, 1):
-        if i % 8 == 0:
-            p = math.frexp(float(np.abs(P).max()))[1]
-            P, s = np.ldexp(P, -p), s + p
-        P = M @ P
-    residual = _frob(np.ldexp(P, s) - T) / tnorm
+    P, s = _product(F, e)
+    with np.errstate(over="ignore"):  # a product past the double range reads inf
+        residual = _frob(np.ldexp(P, s - et) - T) / tnorm
     lows = np.ldexp(dmin, np.maximum(0, e)).tolist()
     stats = [
         FactorStats(defect, low, hi / lo if lo > 0.0 else math.inf)

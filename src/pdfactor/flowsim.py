@@ -24,7 +24,7 @@ from .errors import DimensionMismatch, InvalidInput, InvalidStep
 from .matfun import (
     _COUNT_MAX, _floats, _positive, _real, _require_symmetric, expm, spd_log, sym_eig,
 )
-from .planar import _as_chain
+from .planar import FactorChain, _as_chain
 
 __all__ = [
     "FlowSegment",
@@ -127,8 +127,8 @@ class Trajectory:
 
 
 def _require_increasing(t, after=-math.inf) -> None:
-    """Raise InvalidInput unless the times t strictly increase from after."""
-    if np.any(np.diff(t, prepend=after) <= 0.0):
+    """Raise InvalidInput unless the times t strictly increase from after (NaN fails)."""
+    if not (t[0] > after and (t[1:] > t[:-1]).all()):
         raise InvalidInput("sample times must be strictly increasing")
 
 
@@ -262,10 +262,7 @@ def transition_matrix(segments) -> np.ndarray:
     """Endpoint map of the whole protocol: product of segment exponentials,
     applied right to left."""
     segs = _segments(segments)
-    P = np.eye(segs[0].n)
-    for seg in segs:
-        P = expm(seg.A * seg.duration) @ P
-    return P
+    return FactorChain._trusted([expm(seg.A * seg.duration) for seg in segs]).product()
 
 
 def write_trajectory_csv(trajectory, prefix) -> tuple:

@@ -93,7 +93,9 @@ def taylor_expm(A, terms=200):
 
 
 def product_right_to_left(mats):
-    """Apply mats[0] first: returns mats[-1] @ ... @ mats[0]."""
+    """Apply mats[0] first: returns mats[-1] @ ... @ mats[0], the plain loop
+    from the identity at full scale, which FactorChain.product and
+    transition_matrix must equal byte for byte in the normal range."""
     P = np.eye(mats[0].shape[0])
     for M in mats:
         P = M @ P

@@ -336,9 +336,8 @@ class TestFactorMatrix:
         if np.linalg.det(Phi) < 0:
             Phi[:, 0] = -Phi[:, 0]
         Phi = Phi * 1e200
-        with np.errstate(over="ignore"):
-            ch = factor_matrix(Phi)
-            assert verify(ch, Phi, 1e-8).passed
+        ch = factor_matrix(Phi)
+        assert verify(ch, Phi, 1e-8).passed
 
     def test_stretch_at_every_binary_exponent_is_one_factor(self):
         # c I and a positive diagonal whose largest entry has each binary
@@ -574,6 +573,18 @@ class TestVerify:
         A, B = np.diag([1e5, 1e-5]), np.diag([1e-5, 1e5])
         rep = verify(FactorChain([A, B] * 40), np.eye(2), 1e-12)
         assert rep.passed and rep.residual == 0.0
+
+    def test_chain_whose_partial_products_leave_the_range(self):
+        # 70 factors diag(1e5, 1e-5), then 70 diag(1e-5, 1e5), also
+        # multiply out to I, but after the first 70 the product is
+        # diag(1e350, 1e-350): past the double range at full scale, and
+        # 2^2325 apart, so no one power of two holds both. Each column in
+        # units of its own power of two keeps them.
+        A, B = np.diag([1e5, 1e-5]), np.diag([1e-5, 1e5])
+        chain = FactorChain([A] * 70 + [B] * 70)
+        rep = verify(chain, np.eye(2), 1e-8)
+        assert rep.passed and rep.residual <= 1e-12
+        assert_allclose(chain.product(), np.eye(2), rtol=0.0, atol=1e-12)
 
     def test_report_serializes(self):
         rep = verify(FactorChain([np.eye(2)]), np.eye(2), 1e-10)

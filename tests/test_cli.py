@@ -563,6 +563,26 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("factors, code, passed", [
+        ([[1e5, 0.0, 0.0, 1e-5]] * 70 + [[1e-5, 0.0, 0.0, 1e5]] * 70, 0, True),
+        ([[1e300, 0.0, 0.0, 1e300]] * 2, 3, False),
+    ], ids=["partial_products_past_range", "product_past_range"])
+    def test_products_past_the_double_range(self, tmp_path, capsys, factors, code, passed):
+        # The product is taken one power of two per column: a chain whose
+        # partial products leave the range but whose product is I passes,
+        # and 1e600 I reads "residual": Infinity. Neither writes to stderr;
+        # any warning would be an error here.
+        chain = write_chain(tmp_path / "c.json", factors)
+        target = write_matrix(tmp_path / "t.json", np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["verify", "--chain", chain, "--target", target])
+        out, err = capsys.readouterr()
+        assert rc == code and err == ""
+        report = json.loads(out)
+        assert report["passed"] is passed
+        assert report["residual"] <= 1e-12 if passed else report["residual"] == math.inf
+
     def test_zero_target(self, tmp_path, capsys):
         chain = write_chain(tmp_path / "c.json", [[1.0, 0.0, 0.0, 1.0]])
         target = write_matrix(tmp_path / "t.json", np.zeros((2, 2)))

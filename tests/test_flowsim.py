@@ -2,6 +2,7 @@ import decimal
 import hashlib
 import io
 import math
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -34,7 +35,7 @@ from pdfactor.flowsim import (
 from pdfactor.matfun import expm, spd_log, sym_exp
 from pdfactor.planar import FactorChain, build_chain, plan_scheme, rotation2
 
-from _helpers import hard_floats, rng
+from _helpers import hard_floats, product_right_to_left, rng
 
 DEG = math.pi / 180.0
 
@@ -471,6 +472,19 @@ class TestTransitionMatrix:
         with pytest.raises(InvalidInput):
             transition_matrix([])
 
+    def test_is_the_plain_product_of_exponentials(self):
+        # The segment exponentials multiplied in per-column binary units
+        # are the loop from the identity at full scale, byte for byte.
+        r = rng(128)
+        for _ in range(150):
+            n = int(r.integers(1, 9))
+            segs = []
+            for _ in range(int(r.integers(1, 21))):
+                A = r.standard_normal((n, n))
+                segs.append(FlowSegment(A + A.T, float(r.uniform(0.05, 2.0))))
+            want = product_right_to_left([expm(s.A * s.duration) for s in segs])
+            assert transition_matrix(segs).tobytes() == want.tobytes()
+
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: transition_matrix([FlowSegment(np.eye(2)), np.eye(2)]),
@@ -499,6 +513,19 @@ class TestTrajectoryType:
                 np.zeros((2, 1, 2)),
                 np.zeros((2, 2, 2)),
             )
+
+    @pytest.mark.parametrize("times", [
+        [0.0, math.nan, 2.0], [math.nan], [0.0, math.inf, math.inf], [-math.inf, -math.inf],
+    ], ids=["nan_inside", "nan_alone", "equal_plus_inf", "equal_minus_inf"])
+    def test_rejects_nan_and_equal_infinite_times(self, times):
+        # NaN is not after any time, nor are equal infinities after each
+        # other; comparing neighbours rejects both without forming inf - inf,
+        # so with no warning.
+        T = len(times)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="^sample times must be strictly increasing$"):
+                Trajectory(np.array(times), np.zeros((T, 1, 2)), np.zeros((T, 2, 2)))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):

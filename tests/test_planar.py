@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from pdfactor.planar import (
 from pdfactor.flowsim import FlowSegment, ParticleCloud, segments_from_chain, simulate
 from pdfactor.transport import ot_map, ot_residual
 
-from _helpers import chain_angle_oracle, rng
+from _helpers import chain_angle_oracle, product_right_to_left, rng
 
 DEG = math.pi / 180.0
 EPS = np.finfo(float).eps
@@ -648,6 +649,34 @@ class TestFactorChainType:
         A = np.array([[1.0, 1.0], [0.0, 1.0]])
         B = np.array([[2.0, 0.0], [0.0, 1.0]])
         assert_allclose(FactorChain([A, B]).product(), B @ A, atol=0)
+
+    def test_product_is_the_plain_product_in_the_normal_range(self):
+        # Powers of two on a column commute with left multiplication, so
+        # the product in per-column binary units is the loop from the
+        # identity at full scale, byte for byte, rescales (from the 9th
+        # factor on) and signed zeros included.
+        r = rng(127)
+        for _ in range(400):
+            n = int(r.integers(1, 9))
+            factors = []
+            for _ in range(int(r.integers(1, 21))):
+                M = r.standard_normal((n, n))
+                M *= 2.0 ** r.uniform(-30.0, 30.0) / np.abs(M).max()
+                M[r.random((n, n)) < 0.2] = -0.0
+                factors.append(M)
+            want = product_right_to_left(factors)
+            assert FactorChain(factors).product().tobytes() == want.tobytes()
+            assert chain_product(factors).tobytes() == want.tobytes()
+
+    def test_product_whose_partial_products_leave_the_range(self):
+        # 1e200 I twice, then 1e-200 I twice, is I; at full scale the
+        # partial products overflow to inf, and inf times 1e-200 plus
+        # inf times 0 is NaN. Any warning would be an error here.
+        factors = [1e200 * np.eye(2)] * 2 + [1e-200 * np.eye(2)] * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = chain_product(factors)
+        assert P.tobytes() == np.eye(2).tobytes()
 
     @pytest.mark.parametrize("factors, error", [
         ([[[1.0, 2.0], [3.0]]], InvalidInput),
