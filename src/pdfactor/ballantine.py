@@ -28,6 +28,7 @@ from .planar import (
     FactorChain,
     _K_MAX,
     _as_chain,
+    _blocks_in_identity,
     _chain_factors,
     _check_scheme,
     _plan,
@@ -35,11 +36,7 @@ from .planar import (
     build_chain,
     plan_scheme,
 )
-from .spectral import (
-    _blocks_in_identity,
-    _special_orthogonal,
-    _split,
-)
+from .spectral import _special_orthogonal, _split
 
 __all__ = [
     "FactorOptions",

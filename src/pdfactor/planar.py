@@ -195,10 +195,19 @@ def _coerce_params(p) -> ChainParams:
     raise InvalidParams(f"expected ChainParams, got {type(p).__name__}")
 
 
-def _matrices(E) -> np.ndarray:
-    """Symmetric 2x2 matrices [[a, b], [b, d]] from entries (a, b, d) along
-    the first axis of E: shape (3, ...) to (..., 2, 2)."""
-    return np.moveaxis(E[[0, 1, 1, 2]], 0, -1).reshape(E.shape[1:] + (2, 2))
+def _blocks_in_identity(n: int, m00, m01, m10, m11) -> np.ndarray:
+    """Identity matrices of size n with the 2x2 block [[m00, m01], [m10,
+    m11]] of plane i on rows 2i, 2i + 1. The entries have shape
+    (..., planes) and the result (..., n, n); the diagonal and each block
+    entry are written by stride. At n = 2, E[[0, 1, 1, 2]] of entries
+    E = (a, b, d) of shape (3, ..., 1) gives the matrices [[a, b], [b, d]]."""
+    D = np.zeros(np.shape(m00)[:-1] + (n, n))
+    flat = D.reshape(D.shape[:-2] + (n * n,))
+    flat[..., :: n + 1] = 1.0
+    step = 2 * (n + 1)
+    for first, m in ((0, m00), (1, m01), (n, m10), (n + 1, m11)):
+        flat[..., first : np.shape(m)[-1] * step : step] = m
+    return D
 
 
 def _waypoints(lam, theta, k: int) -> np.ndarray:
@@ -233,7 +242,7 @@ def chain_covariances(p: ChainParams) -> list:
     """
     p = _coerce_params(p)
     W = _waypoints(np.array([p.lam]), np.array([p.theta]), p.k)
-    return list(_matrices(W)[:, 0])
+    return list(_blocks_in_identity(2, *W[[0, 1, 1, 2]]))
 
 
 def _monge2(A, B) -> np.ndarray:
@@ -302,7 +311,7 @@ def build_chain(p: ChainParams) -> FactorChain:
     """
     p = _coerce_params(p)
     F = _chain_factors(np.array([p.lam]), np.array([p.theta]), p.k)
-    return FactorChain._trusted(list(_matrices(F)[:, 0]), p)
+    return FactorChain._trusted(list(_blocks_in_identity(2, *F[[0, 1, 1, 2]])), p)
 
 
 def net_rotation(chain: FactorChain) -> float:
@@ -493,8 +502,8 @@ def gradient_generator(Sigma0, theta, t_fn) -> np.ndarray:
     U = rotation2(theta)
     S0 = S0 / math.sqrt(dmax * dmin)  # dmax dmin = det S0
     S1 = U @ S0 @ U.T
-    M = _matrices(_monge2(S0[_UPPER], ((S1 + S1.T) / 2.0)[_UPPER]))
-    A = spd_log(M) / t_fn
+    M = _monge2(S0[_UPPER], ((S1 + S1.T) / 2.0)[_UPPER])
+    A = spd_log(_blocks_in_identity(2, *M[[0, 1, 1, 2], None])) / t_fn
     # det M = 1, so trace(A) is roundoff; project it out so volume
     # preservation survives division by a tiny t_fn.
     A -= (np.trace(A) / 2.0) * np.eye(2)

@@ -26,6 +26,7 @@ from .errors import (
     NumericalFailure,
 )
 from .matfun import _EPS, _as_square, _frob
+from .planar import _blocks_in_identity
 
 __all__ = [
     "RotationBlock",
@@ -153,7 +154,8 @@ def _split(V) -> tuple:
     c = cosines.tolist()
     bounds = [0, *(i for i in range(1, n) if c[i] - c[i - 1] > CLUSTER_TOL), n]
     # A cluster of two at i is one plane or two axes, read off the restricted
-    # action R(+-t) on rows i, i + 1.
+    # action R(+-t) on rows i, i + 1; every axis's cosine is read off the
+    # restricted action's diagonal.
     diag = W.diagonal()
     sin = W.diagonal(1) - W.diagonal(-1)
     angle = np.arctan2(np.abs(sin), diag[:-1] + diag[1:]).tolist()
@@ -164,18 +166,14 @@ def _split(V) -> tuple:
     thetas, pairs, axes, axis_cos = [], [], [], []
     for i, stop in zip(bounds, bounds[1:]):
         m = stop - i
-        if m == 1:  # a lone direction is an axis
-            axes.append(i)
-            axis_cos.append(c[i])
-        elif m == 2:
+        if m == 2 and abs(sin[i]) / 2.0 > PLANE_CUT:
             # A negative sine swaps the plane's columns to the orientation
             # (Im z, Re z) below gives.
-            if abs(sin[i]) / 2.0 > PLANE_CUT:
-                pairs += (i + 1, i) if sin[i] < 0.0 else (i, i + 1)
-                thetas.append(angle[i])
-            else:
-                axes += (i, i + 1)
-                axis_cos += diag[i:stop]
+            pairs += (i + 1, i) if sin[i] < 0.0 else (i, i + 1)
+            thetas.append(angle[i])
+        elif m <= 2:  # a lone direction, or two of rate about 0, are axes
+            axes += range(i, stop)
+            axis_cos += diag[i:stop]
         else:
             # Everything below runs in cluster coordinates: the restricted
             # action keeps other clusters' eigenvector noise out of the planes.
@@ -235,20 +233,6 @@ def _planes(d: OrthogonalDecomposition) -> tuple:
         np.array([b.theta for b in rot]),
         np.array([b.rows for b in rot], dtype=np.intp).reshape(-1, 2),
     )
-
-
-def _blocks_in_identity(n: int, m00, m01, m10, m11) -> np.ndarray:
-    """Identity matrices of size n with the 2x2 block [[m00, m01], [m10,
-    m11]] of plane i on rows 2i, 2i + 1. The entries have shape
-    (..., planes) and the result (..., n, n); the diagonal and each block
-    entry are written by stride."""
-    D = np.zeros(np.shape(m00)[:-1] + (n, n))
-    flat = D.reshape(D.shape[:-2] + (n * n,))
-    flat[..., :: n + 1] = 1.0
-    step = 2 * (n + 1)
-    for first, m in ((0, m00), (1, m01), (n, m10), (n + 1, m11)):
-        flat[..., first : np.shape(m)[-1] * step : step] = m
-    return D
 
 
 def _rebuild(U, theta, at=...) -> np.ndarray:
