@@ -36,7 +36,7 @@ from .planar import (
     build_chain,
     plan_scheme,
 )
-from .spectral import _special_orthogonal, _split
+from .spectral import _split, _split_input
 
 __all__ = [
     "FactorOptions",
@@ -145,8 +145,8 @@ def factor_orthogonal(V, opts: FactorOptions | None = None) -> FactorChain:
     the plans and chains) for the largest angle that fails.
     """
     opts = _options(opts)
-    V = _special_orthogonal(V)
-    return FactorChain._trusted(_stages(*_split(V), opts) or [np.eye(V.shape[0])])
+    U, theta = _split_input(V)
+    return FactorChain._trusted(_stages(U, theta, opts) or [np.eye(U.shape[0])])
 
 
 def _stages(U, theta, opts: FactorOptions) -> list:
@@ -203,8 +203,9 @@ def verify(chain, target, tol) -> VerificationReport:
     """Measure how well a chain multiplies out to the target.
 
     PASS requires relative residual at most tol and every factor to clear
-    the SPD certificate. Factors are inspected, not trusted: asymmetric or
-    indefinite entries produce a failing report rather than an exception.
+    the SPD certificate, both relative, so that they hold alike at every
+    scale. Factors are inspected, not trusted: asymmetric or indefinite
+    entries produce a failing report rather than an exception.
     All factors are checked at once, by one stacked ``eigvalsh``, and
     multiplied in powers of two per factor and per column, across the double range.
     """
@@ -226,9 +227,12 @@ def verify(chain, target, tol) -> VerificationReport:
     F = np.array(chain.factors)
     defects, symmetric, dmax, dmin, e = _sym_spd(F)
     P, s = _product(F, e)
-    with np.errstate(over="ignore"):  # a product past the double range reads inf
-        residual = _frob(np.ldexp(P, s - et) - T) / tnorm
-    lows = np.ldexp(dmin, np.maximum(0, e)).tolist()
+    # In units 2^u, u >= 0, that hold the product below 1, no square overflows.
+    u = max(0, int((np.frexp(P)[1] + s).max()) - et)
+    D = np.ldexp(P, s - et - u) - np.ldexp(T, -u)
+    with np.errstate(over="ignore"):  # one past the double range reads inf
+        residual = float(np.ldexp(_frob(D) / tnorm, u))
+    lows = np.ldexp(dmin, e).tolist()
     stats = [
         FactorStats(defect, low, hi / lo if lo > 0.0 else math.inf)
         for defect, low, hi, lo in zip(defects.tolist(), lows, dmax.tolist(), dmin.tolist())

@@ -120,7 +120,7 @@ def load_chain(path) -> FactorChain:
         name = f"{path} factor {i}"
         if not symmetric[i]:
             raise InvalidInput(f"{name} is not symmetric (defect {defect[i]:.3e})")
-        _certify_spd(np.ldexp((dmax[i], dmin[i]), max(0, e[i])), name)
+        _certify_spd(np.ldexp((dmax[i], dmin[i]), e[i]), name)
     params = None
     if "meta" in doc:  # the whole block or none, so that a save gives the file back
         meta = doc["meta"]

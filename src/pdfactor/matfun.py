@@ -110,43 +110,45 @@ def _frob(A) -> float:
     return math.sqrt(x.dot(x))
 
 
+def _ortho_defect(X) -> float:
+    """||X^T X - I||_F, formed in units 2^ex, ex >= 0, that hold X's entries
+    below 2: no product overflows, and a defect past the range reads inf."""
+    ex = max(0, math.frexp(float(np.abs(X).max()))[1] - 1)
+    Y = np.ldexp(X, -ex)
+    G = Y.T @ Y
+    G.reshape(-1)[:: X.shape[0] + 1] -= math.ldexp(1.0, -2 * ex)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(_frob(G), 2 * ex))
+
+
 def _frobs(F) -> np.ndarray:
     """np.linalg.norm(F, axis=(-2, -1)) bit for bit, without the wrapper."""
     return np.sqrt(np.add.reduce(F * F, axis=(-2, -1)))
 
 
-def _sym_check(F) -> tuple:
-    """Symmetry check of a stack F (..., n, n), safe at every scale: each
-    matrix's Frobenius symmetry defect, whether it is symmetric to roundoff
-    (defect <= SYM_RTOL (1 + ||F||_F)), the exponents e of the largest
-    entries, in [2^(e-1), 2^e), and the stack Fs = F / 2^ex it is measured
-    in, ex = max(0, e): the squares in the norms (_frobs) cannot overflow,
-    and below 1 the "1 +" keeps its meaning."""
-    e = np.frexp(np.abs(F).max(axis=(-2, -1)))[1]
-    ex = np.maximum(0, e)
-    Fs = np.ldexp(F, -ex[..., None, None])
-    defect = _frobs(Fs - Fs.swapaxes(-1, -2))
-    symmetric = defect <= SYM_RTOL * (np.ldexp(1.0, -ex) + _frobs(Fs))
-    return np.ldexp(defect, ex), symmetric, e, Fs
-
-
 def _sym_spd(F) -> tuple:
-    """Symmetry and SPD checks of a stack F (..., n, n), safe at every scale:
-    _sym_check's defect, verdict and e, and the extreme eigenvalues dmax,
-    dmin of each symmetric part, from one stacked ``eigvalsh``, in Fs's
-    units 2^max(0, e), where no eigenvalue overflows. The SPD certificate
-    is ``symmetric & _spd_ok(dmax, dmin)``."""
-    defect, symmetric, e, Fs = _sym_check(F)
+    """Symmetry and SPD checks of a stack F (..., n, n), alike at every scale,
+    each matrix in units 2^e of its largest entry: its Frobenius symmetry
+    defect, whether that is at most SYM_RTOL ||F||_F, the extreme eigenvalues
+    dmax, dmin of its symmetric part (one stacked ``eigvalsh``, in units 2^e)
+    and e. The SPD certificate is ``symmetric & _spd_ok(dmax, dmin)``."""
+    e = np.frexp(np.abs(F).max(axis=(-2, -1)))[1]
+    Fs = np.ldexp(F, -e[..., None, None])
+    defect = _frobs(Fs - Fs.swapaxes(-1, -2))
     d = np.linalg.eigvalsh((Fs + Fs.swapaxes(-1, -2)) / 2.0)
-    return defect, symmetric, d[..., -1], d[..., 0], e
+    symmetric = defect <= SYM_RTOL * _frobs(Fs)
+    return np.ldexp(defect, e), symmetric, d[..., -1], d[..., 0], e
 
 
 def _require_symmetric(S, name="matrix") -> np.ndarray:
+    """(S + S^T) / 2, S checked symmetric to SYM_RTOL (1 + ||S||_F), the 1 a
+    floor for generators near 0, in units 2^max(0, e) of its largest entry."""
     S = _as_square(S, name)
-    defect, symmetric, _, _ = _sym_check(S)
-    if not symmetric:
-        raise InvalidInput(f"{name} is not symmetric (defect {defect:.3e})")
-    # Hand the eigensolver the exactly symmetric part, not just one triangle.
+    ex = max(0, math.frexp(float(np.abs(S).max()))[1])
+    Ss = np.ldexp(S, -ex)
+    defect = _frobs(Ss - Ss.T)
+    if defect > SYM_RTOL * (math.ldexp(1.0, -ex) + _frobs(Ss)):
+        raise InvalidInput(f"{name} is not symmetric (defect {math.ldexp(defect, ex):.3e})")
     return (S + S.T) / 2.0
 
 

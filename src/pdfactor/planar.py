@@ -39,8 +39,8 @@ from .matfun import (
     _COUNT_MAX,
     _as_square,
     _certify_spd,
-    _frob,
     _integer,
+    _ortho_defect,
     _positive,
     _real,
     _require_symmetric,
@@ -324,8 +324,9 @@ def net_rotation(chain: FactorChain) -> float:
     if chain.n != 2:
         raise DimensionMismatch("net rotation is defined for 2x2 chains")
     P = chain.product()
-    defect = _frob(P @ P.T - np.eye(2))
-    det = float(np.linalg.det(P))
+    defect = _ortho_defect(P.T)
+    with np.errstate(over="ignore"):  # one past the double range reads inf
+        det = float(np.linalg.det(P))
     if defect > ROTATION_GATE or abs(det - 1.0) > ROTATION_GATE:
         raise NotARotation(
             f"chain product is not a rotation (orthogonality defect "

@@ -25,7 +25,7 @@ from .errors import (
     NotOrthogonal,
     NumericalFailure,
 )
-from .matfun import _EPS, _as_square, _frob
+from .matfun import _EPS, _as_square, _frob, _ortho_defect, _polar
 from .planar import _blocks_in_identity
 
 __all__ = [
@@ -99,9 +99,7 @@ class OrthogonalDecomposition:
 
 def _require_orthogonal(X, tol: float, what: str) -> None:
     """Raise NotOrthogonal unless ||X^T X - I||_F <= tol."""
-    G = X.T @ X
-    G.reshape(-1)[:: X.shape[0] + 1] -= 1.0
-    defect = _frob(G)
+    defect = _ortho_defect(X)
     if defect > tol:
         raise NotOrthogonal(f"{what} has orthogonality defect {defect:.3e}")
 
@@ -115,12 +113,17 @@ def _require_det_one(det: float) -> None:
         )
 
 
-def _special_orthogonal(V) -> np.ndarray:
-    """V as a float array, checked to lie in SO(n) to ORTHO_TOL."""
+def _split_input(V) -> tuple:
+    """_split of V, checked to lie in SO(n) to ORTHO_TOL, or, where V's defect
+    moves the eigenvectors past the reassembly gate, of the rotation nearest V
+    (polar's U W^T), which U D U^T then reproduces to REASSEMBLY_GATE."""
     V = _as_square(V, "block_diagonalize input")
     _require_orthogonal(V, ORTHO_TOL, "input")
     _require_det_one(float(np.linalg.det(V)))
-    return V
+    try:
+        return _split(V)
+    except NumericalFailure:
+        return _split(_polar(V)[0])
 
 
 def block_diagonalize(V) -> OrthogonalDecomposition:
@@ -132,7 +135,7 @@ def block_diagonalize(V) -> OrthogonalDecomposition:
 
     Raises NotOrthogonal or NegativeDeterminant for inputs outside SO(n).
     """
-    U, theta = _split(_special_orthogonal(V))
+    U, theta = _split_input(V)
     blocks = [
         RotationBlock(theta=t, rows=(2 * i, 2 * i + 1))
         for i, t in enumerate(theta.tolist())
@@ -154,8 +157,7 @@ def _split(V) -> tuple:
     c = cosines.tolist()
     bounds = [0, *(i for i in range(1, n) if c[i] - c[i - 1] > CLUSTER_TOL), n]
     # A cluster of two at i is one plane or two axes, read off the restricted
-    # action R(+-t) on rows i, i + 1; every axis's cosine is read off the
-    # restricted action's diagonal.
+    # action R(+-t) on rows i, i + 1; each axis's sign off its diagonal.
     diag = W.diagonal()
     sin = W.diagonal(1) - W.diagonal(-1)
     angle = np.arctan2(np.abs(sin), diag[:-1] + diag[1:]).tolist()

@@ -5,10 +5,13 @@ numpy calls for the same work: the polar split, the rotation split and its
 gates, the planar plans, waypoints and Monge maps, the stacked stages, and
 verify's symmetry and SPD checks. Helpers that did not change come from
 the package. The trimmed code must match these byte for byte: the same
-factors, the same reports, the same errors. Two differences are kept on
-purpose, the memory order of the split's basis (see split), and verify's
+factors, the same reports, the same errors. Some differences are kept on
+purpose: the memory order of the split's basis (see split); verify's
 product, taken in units of each factor's power of two so that it stays
-finite past the float range (there the earlier product gave nan).
+finite past the float range (there the earlier product gave nan), and its
+residual's norm, taken in units that hold the product; and the symmetry
+and SPD checks, made in each factor's own units and relative to its norm
+(see sym_check).
 """
 
 import math
@@ -73,20 +76,23 @@ def polar(Phi):
 
 
 def sym_check(F):
-    ex = np.maximum(0, np.frexp(np.max(np.abs(F), axis=(-2, -1)))[1])
-    Fs = np.ldexp(F, -ex[..., None, None])
+    # Measured in units of each matrix's own power of two, 2^e, where the
+    # squares neither overflow nor underflow, and relative to the matrix's
+    # norm, so that a verdict holds alike at every scale (the earlier
+    # version kept matrices below 1 unscaled, with an absolute floor).
+    e = np.frexp(np.max(np.abs(F), axis=(-2, -1)))[1]
+    Fs = np.ldexp(F, -e[..., None, None])
     defect = np.linalg.norm(Fs - np.swapaxes(Fs, -1, -2), axis=(-2, -1))
-    symmetric = defect <= SYM_RTOL * (
-        np.ldexp(1.0, -ex) + np.linalg.norm(Fs, axis=(-2, -1))
-    )
-    return np.ldexp(defect, ex), symmetric, ex, Fs
+    symmetric = defect <= SYM_RTOL * np.linalg.norm(Fs, axis=(-2, -1))
+    return np.ldexp(defect, e), symmetric, e, Fs
 
 
 def sym_spd(F):
-    defect, symmetric, ex, Fs = sym_check(F)
+    # The eigenvalues stay in the units 2^e, so the condition and the SPD
+    # certificate read the same ratio at every scale.
+    defect, symmetric, e, Fs = sym_check(F)
     d = np.linalg.eigvalsh((Fs + np.swapaxes(Fs, -1, -2)) / 2.0)
-    d = np.ldexp(d, ex[..., None])
-    return defect, symmetric, d[..., -1], d[..., 0]
+    return defect, symmetric, d[..., -1], d[..., 0], e
 
 
 def require_orthogonal(X, tol, what):
@@ -301,16 +307,25 @@ def verify(chain, target, tol):
         m = math.frexp(float(np.max(np.abs(M))))[1]
         M = np.ldexp(M, -m)
         P, total = (M if P is None else M @ P), total + m
-    residual = _frob(np.ldexp(P, total - e) - np.ldexp(target, -e)) / tnorm
+    # The difference in units 2^u, u >= 0, that hold the product's entries
+    # below 1: finite whenever the true residual is (the earlier version
+    # took the norm in the target's units, where the squares of a residual
+    # above about 1e154 overflowed).
+    u = max(0, math.frexp(float(np.max(np.abs(P))))[1] + total - e)
+    D = np.ldexp(P, total - e - u) - np.ldexp(np.ldexp(target, -e), -u)
+    with np.errstate(over="ignore"):
+        residual = float(np.ldexp(_frob(D) / tnorm, u))
 
-    defects, symmetric, dmax, dmin = sym_spd(np.stack(chain.factors))
+    defects, symmetric, dmax, dmin, ex = sym_spd(np.stack(chain.factors))
     stats = [
         FactorStats(
             symmetry_defect=defect,
-            min_eigenvalue=lo,
+            min_eigenvalue=float(np.ldexp(lo, x)),
             condition=hi / lo if lo > 0.0 else math.inf,
         )
-        for defect, hi, lo in zip(defects.tolist(), dmax.tolist(), dmin.tolist())
+        for defect, hi, lo, x in zip(
+            defects.tolist(), dmax.tolist(), dmin.tolist(), ex.tolist()
+        )
     ]
     spd = symmetric & _spd_ok(dmax, dmin)
     return VerificationReport(

@@ -27,7 +27,7 @@ from pdfactor.errors import (
 from pdfactor.planar import FactorChain, _plan, build_chain, plan_scheme, rotation2
 from pdfactor.spectral import _planes, block_diagonalize
 
-from _helpers import hilbert, random_rotation, random_spd, rng
+from _helpers import hilbert, product_right_to_left, random_rotation, random_spd, rng
 
 # Product of the two-decimal reference factors against -I. Rounding at two
 # decimals already costs more than the underlying construction error.
@@ -532,10 +532,13 @@ class TestVerify:
         assert rep.residual > 1e-8
 
     def test_asymmetric_factor_reported_not_raised(self):
+        # The symmetry test is relative, so it fails a tiny asymmetric
+        # factor too, and measures its defect where no square underflows.
         A = np.array([[1.0, 0.5], [0.0, 1.0]])
-        rep = verify(FactorChain([A]), A, 1.0)
-        assert not rep.passed
-        assert rep.factors[0].symmetry_defect > 1e-3
+        for scale in (1.0, 1e-150, 1e-300):
+            rep = verify(FactorChain([scale * A]), scale * A, 1.0)
+            assert not rep.passed
+            assert rep.factors[0].symmetry_defect > 1e-3 * scale
 
     def test_indefinite_factor_reported(self):
         M = np.diag([1.0, -1.0])
@@ -585,6 +588,58 @@ class TestVerify:
         rep = verify(chain, np.eye(2), 1e-8)
         assert rep.passed and rep.residual <= 1e-12
         assert_allclose(chain.product(), np.eye(2), rtol=0.0, atol=1e-12)
+
+    def test_residual_is_finite_whenever_the_true_one_is(self):
+        # Its norm is taken in the difference's own units, so its squares do
+        # not overflow above about 1e154. The diagonal factor's product, in
+        # the target's units, passes 2^1024, but the residual is 1.5 2^1023.
+        for scale in (1e150, 1e200, 1e300):
+            rep = verify(FactorChain([scale * np.eye(2)]), np.eye(2), 1e-8)
+            assert not rep.passed
+            assert_allclose(rep.residual, scale, rtol=1e-15)
+        F = np.diag([1.5 * 2.0**1015, 2.0**-10, 2.0**-10, 2.0**-10])
+        rep = verify(FactorChain([F]), np.full((4, 4), 2.0**-10), 1e-8)
+        assert rep.residual == 1.5 * 2.0**1023
+        rep = verify(FactorChain([1e300 * np.eye(2)] * 2), np.eye(2), 1e-8)
+        assert math.isinf(rep.residual) and not rep.passed
+
+    def test_same_verdict_at_every_scale(self):
+        # SPD and asymmetric factors, against their product or against
+        # targets whose relative residual spans 1e-16 to 1e300. Each factor
+        # scaled by its own 2^k, k across the normal range, and the target by
+        # their product, gives the same verdict, residual and conditions,
+        # and defects and least eigenvalues scaled by 2^k.
+        r = rng(129)
+        for _ in range(120):
+            n = int(r.integers(1, 7))
+            F = [random_spd(r, n, 1e6) if r.random() < 0.5 else r.standard_normal((n, n))
+                 for _ in range(int(r.integers(1, 5)))]
+            P = product_right_to_left(F)
+            rel = 10.0 ** r.uniform(-16.0, 300.0) if r.random() < 0.75 else 0.0
+            E = r.standard_normal((n, n))
+            T = P + rel * np.linalg.norm(P) / np.linalg.norm(E) * E if rel < 1.0 else P / rel
+            base = verify(FactorChain(F), T, 1e-8)
+            if rel >= 1e-8:
+                true = rel - 1.0 if rel >= 1.0 else np.linalg.norm(P - T) / np.linalg.norm(T)
+                assert_allclose(base.residual, true, rtol=1e-6)
+            e = math.frexp(np.abs(T).max())[1]
+            for _ in range(3):
+                k = r.integers(-1000, 1001, len(F))
+                while not -1000 <= k.sum() + e <= 1000:
+                    k = r.integers(-1000, 1001, len(F))
+                scaled = verify(
+                    FactorChain([np.ldexp(M, j) for M, j in zip(F, k)]),
+                    np.ldexp(T, k.sum()), 1e-8,
+                )
+                assert scaled.passed == base.passed
+                assert_allclose(scaled.residual, base.residual, rtol=1e-12)
+                for got, want, j in zip(scaled.factors, base.factors, k.tolist()):
+                    assert_allclose(
+                        [got.symmetry_defect, got.min_eigenvalue, got.condition],
+                        [math.ldexp(want.symmetry_defect, j),
+                         math.ldexp(want.min_eigenvalue, j), want.condition],
+                        rtol=1e-12, atol=0.0,
+                    )
 
     def test_report_serializes(self):
         rep = verify(FactorChain([np.eye(2)]), np.eye(2), 1e-10)

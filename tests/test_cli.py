@@ -285,7 +285,10 @@ class TestChainFileFormat:
         ([1.0, 2.0, 0.0, 1.0], InvalidInput, "not symmetric"),
         ([1e300, 2e300, 0.0, 1e300], InvalidInput, "not symmetric"),
         ([1.0, 0.0, 0.0, -1.0], NotPositiveDefinite, "not positive definite"),
-    ], ids=["asymmetric", "asymmetric_1e300", "indefinite"])
+        ([2e-150, 1e-150, 0.0, 1e-150], InvalidInput, "not symmetric"),
+        ([2e-300, 1e-300, 0.0, 1e-300], InvalidInput, "not symmetric"),
+    ], ids=["asymmetric", "asymmetric_1e300", "indefinite", "asymmetric_1e-150",
+            "asymmetric_1e-300"])
     def test_load_names_first_failing_factor(self, tmp_path, bad, error, what):
         path = write_chain(
             tmp_path / "bad.json", [[2.0, 0.0, 0.0, 0.5], bad, [1.0, 2.0, 0.0, 1.0]]

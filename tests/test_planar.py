@@ -344,6 +344,14 @@ class TestNetRotation:
         with pytest.raises(NotARotation):
             net_rotation(FactorChain([np.diag([2.0, 1.0])]))
 
+    def test_product_past_the_range_rejected_without_warning(self):
+        # P P^T and det P of 1e200 I are past the double range: both read
+        # inf, with no overflow warning in place of the error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotARotation, match="defect inf, det inf"):
+                net_rotation(FactorChain([1e200 * np.eye(2)]))
+
     def test_half_turn_past_the_cut_reads_pi(self):
         # A product a rounding error past pi reads pi, not -pi; an angle
         # genuinely short of -pi keeps its sign.

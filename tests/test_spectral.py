@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdfactor.ballantine import factor_matrix, verify
+from pdfactor.ballantine import factor_matrix, factor_orthogonal, verify
 from pdfactor.errors import (
     InvalidInput,
     NegativeDeterminant,
@@ -259,6 +260,53 @@ class TestHardAngleFamilies:
             f"{len(failures)} of 150 failed (worst residual of the rest "
             f"{worst:.3e}): {failures[:5]}"
         )
+
+
+class TestNearOrthogonalInputs:
+    def test_split_as_the_rotation_nearest_them(self):
+        # Inputs 1e-10 to 1e-8 from orthogonal pass the input gate, but
+        # their defect over a cosine gap can move the symmetric part's
+        # eigenvectors past the reassembly gate: such inputs raised
+        # NumericalFailure, "too entangled". Each now splits, U D U^T within
+        # REASSEMBLY_GATE of the rotation nearest V and so within that plus
+        # about half V's defect of V, or, past the gate, is NotOrthogonal.
+        r = rng(53)
+        V = np.kron(np.eye(2), rotation2(0.7)) + 2e-9 * np.diag([1.0, 0.0, 0.0, 0.0])
+        inputs = [V]
+        for draw in range(200):
+            n = int(r.integers(2, 13))
+            planes = int(r.integers(1, n // 2 + 1))
+            angles = hard_family_angles(HARD_FAMILIES[draw % 5], r, planes)
+            Q = random_rotation(r, n)
+            V = Q @ embed(*[(a,) for a in angles], *[1.0] * (n - 2 * planes)) @ Q.T
+            # Any direction, a stretch along Q's axes, or rank one.
+            E = [r.standard_normal((n, n)), Q @ np.diag(r.standard_normal(n)) @ Q.T,
+                 np.outer(r.standard_normal(n), r.standard_normal(n))][draw % 3]
+            inputs.append(V + 10.0 ** r.uniform(-10.0, -8.0) / np.linalg.norm(E) * E)
+        split = 0
+        for V in inputs:
+            defect = np.linalg.norm(V.T @ V - np.eye(V.shape[0]))
+            if defect > 1e-8:
+                with pytest.raises(NotOrthogonal, match=f"defect {defect:.3e}"):
+                    block_diagonalize(V)
+                continue
+            d = block_diagonalize(V)
+            assert np.linalg.norm(assemble(d) - V) <= 1e-9 + defect
+            assert len(factor_orthogonal(V).factors) == (5 if d.blocks[0].dim == 2 else 1)
+            split += 1
+        assert split >= 150
+
+    def test_huge_input_raises_no_warning(self):
+        # V^T V of 1e200 I is past the double range: the defect reads inf,
+        # with no overflow warning in its place.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (block_diagonalize, factor_orthogonal,
+                        lambda U: OrthogonalDecomposition(U=U, blocks=[])):
+                with pytest.raises(NotOrthogonal, match="orthogonality defect inf"):
+                    run(1e200 * np.eye(2))
+            with pytest.raises(NotOrthogonal, match="orthogonality defect 1.414e\\+300"):
+                block_diagonalize(1e150 * np.eye(2))
 
 
 class TestAssemble:
