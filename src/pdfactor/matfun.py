@@ -114,11 +114,10 @@ def _ortho_defect(X) -> float:
     """||X^T X - I||_F, formed in units 2^ex, ex >= 0, that hold X's entries
     below 2: no product overflows, and a defect past the range reads inf."""
     ex = max(0, math.frexp(float(np.abs(X).max()))[1] - 1)
-    Y = np.ldexp(X, -ex)
+    Y = np.ldexp(X, -ex) if ex else X
     G = Y.T @ Y
     G.reshape(-1)[:: X.shape[0] + 1] -= math.ldexp(1.0, -2 * ex)
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(_frob(G), 2 * ex))
+    return _frob(G) * 2.0**ex * 2.0**ex  # a float product overflows to inf
 
 
 def _frobs(F) -> np.ndarray:
@@ -148,7 +147,8 @@ def _require_symmetric(S, name="matrix") -> np.ndarray:
     Ss = np.ldexp(S, -ex)
     defect = _frobs(Ss - Ss.T)
     if defect > SYM_RTOL * (math.ldexp(1.0, -ex) + _frobs(Ss)):
-        raise InvalidInput(f"{name} is not symmetric (defect {math.ldexp(defect, ex):.3e})")
+        with np.errstate(over="ignore"):  # a defect past the double range reads inf
+            raise InvalidInput(f"{name} is not symmetric (defect {np.ldexp(defect, ex):.3e})")
     return (S + S.T) / 2.0
 
 

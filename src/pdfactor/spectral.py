@@ -157,7 +157,7 @@ def _split(V) -> tuple:
     c = cosines.tolist()
     bounds = [0, *(i for i in range(1, n) if c[i] - c[i - 1] > CLUSTER_TOL), n]
     # A cluster of two at i is one plane or two axes, read off the restricted
-    # action R(+-t) on rows i, i + 1; each axis's sign off its diagonal.
+    # action R(+-t) on rows i, i + 1; an axis is +1 or -1 by its diagonal's sign.
     diag = W.diagonal()
     sin = W.diagonal(1) - W.diagonal(-1)
     angle = np.arctan2(np.abs(sin), diag[:-1] + diag[1:]).tolist()

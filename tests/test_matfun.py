@@ -125,11 +125,14 @@ class TestSymEig:
     def test_rejects_asymmetric_at_extreme_scale(self):
         # The symmetry defect is measured in units of a power of two near
         # the largest entry, so its norm cannot overflow and let any
-        # matrix through as symmetric.
+        # matrix through as symmetric. A defect past the double range is
+        # reported as inf, with no overflow warning or error in its place.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInput):
                 sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]) * 1e300)
+            with pytest.raises(InvalidInput, match="defect inf"):
+                sym_eig(np.array([[1.0, 1.7], [-1.7, 1.0]]) * 1e308)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidInput):
