@@ -227,12 +227,10 @@ def verify(chain, target, tol) -> VerificationReport:
     F = np.array(chain.factors)
     defects, symmetric, dmax, dmin, e = _sym_spd(F)
     P, s = _product(F, e)
-    with np.errstate(over="ignore"):  # one past the double range reads inf
-        residual = _frob(np.ldexp(P, s - et) - T) / tnorm
-        if residual == math.inf:  # again in units 2^u that hold the product below 1
-            u = max(0, int((np.frexp(P)[1] + s).max()) - et)
-            D = np.ldexp(P, s - et - u) - np.ldexp(T, -u)
-            residual = float(np.ldexp(_frob(D) / tnorm, u))
+    u = max(0, int((np.frexp(P)[1] + s).max()) - et)  # units 2^u hold the product below 1
+    D = np.ldexp(P, s - et - u) - np.ldexp(T, -u)
+    with np.errstate(over="ignore"):  # no square overflows; one past the range reads inf
+        residual = float(np.ldexp(_frob(D) / tnorm, u))
     lows = np.ldexp(dmin, e).tolist()
     stats = [
         FactorStats(defect, low, hi / lo if lo > 0.0 else math.inf)

@@ -97,11 +97,12 @@ class OrthogonalDecomposition:
                 seen.add(i)
 
 
-def _require_orthogonal(X, tol: float, what: str) -> None:
-    """Raise NotOrthogonal unless ||X^T X - I||_F <= tol."""
+def _require_orthogonal(X, tol: float, what: str) -> float:
+    """||X^T X - I||_F; raise NotOrthogonal unless it is at most tol."""
     defect = _ortho_defect(X)
     if defect > tol:
         raise NotOrthogonal(f"{what} has orthogonality defect {defect:.3e}")
+    return defect
 
 
 def _require_det_one(det: float) -> None:
@@ -114,15 +115,16 @@ def _require_det_one(det: float) -> None:
 
 
 def _split_input(V) -> tuple:
-    """_split of V, checked to lie in SO(n) to ORTHO_TOL, or, where V's defect
-    moves the eigenvectors past the reassembly gate, of the rotation nearest V
-    (polar's U W^T), which U D U^T then reproduces to REASSEMBLY_GATE."""
+    """_split of V in SO(n) to ORTHO_TOL or, where that fails and V's defect is
+    past roundoff, of the rotation nearest V (polar's U W^T) instead."""
     V = _as_square(V, "block_diagonalize input")
-    _require_orthogonal(V, ORTHO_TOL, "input")
+    defect = _require_orthogonal(V, ORTHO_TOL, "input")
     _require_det_one(float(np.linalg.det(V)))
     try:
         return _split(V)
     except NumericalFailure:
+        if defect <= V.shape[0] ** 2 * _EPS:  # the rounding bound of V^T V
+            raise
         return _split(_polar(V)[0])
 
 

@@ -10,9 +10,11 @@ from pdfactor.errors import (
     InvalidInput,
     NegativeDeterminant,
     NotOrthogonal,
+    NumericalFailure,
     PdfactorError,
 )
 from pdfactor.matfun import polar
+from pdfactor import spectral
 from pdfactor.planar import rotation2
 from pdfactor.spectral import (
     OrthogonalDecomposition,
@@ -295,6 +297,25 @@ class TestNearOrthogonalInputs:
             assert len(factor_orthogonal(V).factors) == (5 if d.blocks[0].dim == 2 else 1)
             split += 1
         assert split >= 150
+
+    def test_roundoff_input_reports_its_own_failure(self, monkeypatch):
+        # Only a defect above roundoff (n^2 eps) sends a failed split on to
+        # the rotation nearest V; an input orthogonal to roundoff raises its
+        # own error after one split.
+        calls = []
+
+        def failing_split(V):
+            calls.append(V)
+            raise NumericalFailure("split failed")
+
+        monkeypatch.setattr(spectral, "_split", failing_split)
+        R = rotation2(0.7)
+        for V, splits in ((R, 1), (R + 1e-9 * np.diag([1.0, 0.0]), 2)):
+            calls.clear()
+            with pytest.raises(NumericalFailure, match="^split failed$"):
+                block_diagonalize(V)
+            assert len(calls) == splits
+            assert np.array_equal(calls[0], V)
 
     def test_huge_input_raises_no_warning(self):
         # V^T V of 1e200 I is past the double range: the defect reads inf,
