@@ -114,7 +114,7 @@ def _ortho_defect(X) -> float:
     """||X^T X - I||_F, formed in units 2^ex, ex >= 0, that hold X's entries
     below 2: no product overflows, and a defect past the range reads inf."""
     ex = max(0, math.frexp(float(np.abs(X).max()))[1] - 1)
-    Y = np.ldexp(X, -ex) if ex else X
+    Y = np.ldexp(X, -ex)
     G = Y.T @ Y
     G.reshape(-1)[:: X.shape[0] + 1] -= math.ldexp(1.0, -2 * ex)
     return _frob(G) * 2.0**ex * 2.0**ex  # a float product overflows to inf
